@@ -1,38 +1,46 @@
 """Multi-replica cluster simulation under one clock.
 
 A :class:`ClusterEngine` is the simulated analogue of a Ray-Serve-style
-LLM deployment: N identical replicas (each a continuous-batching
-endpoint with its own scheduler and device group) behind a router.  The
-global event order is the arrival stream; before each request is routed,
-every replica is advanced to the arrival instant so the router's load
-snapshot is current.  Replica iterations are indivisible, exactly as in
-:class:`repro.serving.engine.ServingEngine`, so a single-replica cluster
-reproduces the single-engine results.
+LLM deployment: replicas (each a continuous-batching endpoint with its
+own scheduler and device group) behind a router.  One event loop drives
+every run.  Its events are routing instants in one deterministic order:
+arrivals pulled one at a time from the time-sorted stream (never
+buffered), plus crash retries and parked requests on a small heap.
+Before each event every live replica is advanced to its instant, so the
+router's load snapshot is current.  Replicas step through the same
+kernel as :class:`repro.serving.engine.ServingEngine`
+(:meth:`~repro.serving.engine.EndpointSim.step_until`) — one source of
+truth for the iteration body, the decode fast-forward and the HDA
+overlap timing — so a single-replica cluster reproduces the
+single-engine results.  Idle replicas skip their advance/snapshot
+bookkeeping entirely, so the per-arrival cost of a mostly-idle fleet
+drops to the router call itself.
 
-Per-iteration timing is delegated to each replica's ``ServingEngine`` —
-one source of truth for the HDA overlap model and device estimators.
-The replica stepper shares the engine's decode fast-forward (pure-decode
-runs apply in one shot, bit-identically), idle replicas skip their
-advance/snapshot bookkeeping entirely, and an already-sorted arrival
-stream is not re-sorted — together the per-arrival cost of a mostly-idle
-fleet drops to the router call itself.
+One fleet class covers every deployment shape:
 
-With an :class:`~repro.cluster.autoscaler.AutoscaleSpec` the fleet is
-*dynamic*: an autoscaler policy is evaluated on a fixed decision
-interval under the same simulated clock, and replicas move through a
-lifecycle — **provisioning** (launched, paying provision latency, not
-routable) → **ready** (routable) → **draining** (scale-down target:
-stops receiving routed requests but finishes every admitted one) →
-**retired** (drained and decommissioned).  Routers only ever see the
-ready, non-draining replicas, and they address them by *position in the
-snapshot sequence* (see :mod:`repro.cluster.router`), which the engine
-maps back to the concrete replica — ids stay correct even when the id
-space goes non-contiguous after a scale-down.
+* a **fixed** fleet is a resize policy that never acts — no decision
+  instant ever runs and the result carries no autoscale trace;
+* with an :class:`~repro.cluster.autoscaler.AutoscaleSpec` the fleet is
+  **elastic**: an autoscaler policy is evaluated on a fixed decision
+  interval under the same simulated clock, and replicas move through a
+  lifecycle — **provisioning** (launched, paying provision latency, not
+  routable) → **ready** (routable) → **draining** (scale-down target:
+  stops receiving routed requests but finishes every admitted one) →
+  **retired** (drained and decommissioned);
+* without an enabled :class:`~repro.cluster.faults.FaultSpec` the fault
+  plan is null: no crash, retry or deadline code runs.
+
+Routers only ever see the ready, non-draining, running replicas, and
+they address them by *position in the snapshot sequence* (see
+:mod:`repro.cluster.router`), which the engine maps back to the
+concrete replica — ids stay correct even when the id space goes
+non-contiguous after a scale-down.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 from repro.cluster.autoscaler import (
@@ -41,12 +49,7 @@ from repro.cluster.autoscaler import (
     FleetObservation,
     make_autoscaler,
 )
-from repro.cluster.faults import (
-    FaultInjector,
-    FaultSpec,
-    FaultTrace,
-    ReplicaFaultPlan,
-)
+from repro.cluster.faults import FaultInjector, FaultSpec, ReplicaFaultPlan
 from repro.cluster.report import (
     AutoscaleTrace,
     ClusterResult,
@@ -59,46 +62,34 @@ from repro.cluster.report import (
 from repro.cluster.router import ReplicaSnapshot, RouterPolicy, make_router
 from repro.models.config import ModelConfig
 from repro.perf.baselines import DeviceModel
-from repro.serving.engine import (
-    ServingEngine,
-    SimulationResult,
-    run_decode_burst,
-)
-from repro.serving.prefix_cache import PrefixCacheStats
+from repro.serving.engine import EndpointSim, ServingEngine, SimulationResult
 from repro.serving.request import Request
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
 from repro.serving.stream import RequestStream, as_stream
 
 
-class ReplicaSim:
+class ReplicaSim(EndpointSim):
     """One steppable replica: a continuous-batching endpoint with a
-    local clock that the cluster advances between arrivals.
+    local clock that the cluster advances between routing events.
 
     Lifecycle (all timestamps on the cluster's simulated clock):
     ``launched_at`` is when the autoscaler (or the initial fleet)
     created the replica, ``ready_at`` when it finishes provisioning and
     becomes routable, ``drain_started_at`` when a scale-down marked it
     draining (no new routed requests; admitted work still finishes) and
-    ``retired_at`` when it drained and left the fleet.  A static fleet
+    ``retired_at`` when it drained and left the fleet.  A fixed fleet
     never moves past "ready": every replica has ``launched_at ==
     ready_at == 0.0`` and retires implicitly at the end of the run.
     """
 
     def __init__(self, replica_id: int, engine: ServingEngine) -> None:
-        self.replica_id = replica_id
-        self.engine = engine
         # each replica owns its cache and paged pool — prefix residency
         # is per-endpoint, which is exactly what makes the router
         # choice (session-affinity vs round-robin) show up in hit rates
-        self.prefix_cache = engine.build_prefix_cache()
-        self.scheduler = ContinuousBatchingScheduler(
-            engine.model, engine.limits, prefix_cache=self.prefix_cache)
-        self.now = 0.0
-        self.pending: deque[Request] = deque()  # routed, not yet enqueued
-        self.finished: list[Request] = []
+        super().__init__(engine)
+        self.replica_id = replica_id
         # --- group identity (set by the cluster engine on hetero fleets;
         # the defaults keep a directly-built replica homogeneous) ---
-        self.group: "EngineGroup | None" = None
         self.group_index = 0
         self.chip_label = ""
         self.prefill_rate = 0.0
@@ -106,11 +97,6 @@ class ReplicaSim:
         self.assigned_requests = 0
         self.assigned_tokens = 0
         self._outstanding_tokens = 0
-        self.iterations = 0
-        self.decode_steps = 0
-        self.busy = 0.0
-        self.decode_time = 0.0
-        self.prefill_time = 0.0
         self._snapshot: ReplicaSnapshot | None = None
         # --- lifecycle (managed by the cluster engine) ---
         self.launched_at = 0.0
@@ -120,10 +106,9 @@ class ReplicaSim:
         self.drain_started_at: float | None = None
         self.retired_at: float | None = None
         self.reported_finished = 0  # completions already seen by a decision
-        # --- faults (armed only on the fault-enabled run paths) ---
+        # --- faults (armed only when a fault spec is enabled) ---
         self.fault_plan: ReplicaFaultPlan | None = None
         self.restart_at = 0.0  # crashed-until instant; 0.0 = never down
-        self._prior_cache_stats: list[PrefixCacheStats] = []
 
     # ------------------------------------------------------------------ #
     # Router-facing state                                                  #
@@ -136,11 +121,6 @@ class ReplicaSim:
     @property
     def outstanding_tokens(self) -> int:
         return self._outstanding_tokens
-
-    @property
-    def has_work(self) -> bool:
-        """Anything routed here that has not finished yet."""
-        return bool(self.pending) or self.scheduler.has_work
 
     def snapshot(self) -> ReplicaSnapshot:
         # idle replicas are snapshotted once and served from cache until
@@ -170,15 +150,15 @@ class ReplicaSim:
     # Simulation                                                           #
     # ------------------------------------------------------------------ #
 
-    def _note_finished(self, request: Request) -> None:
-        """Per-completion hook for the shared decode burst."""
+    def on_finish(self, request: Request) -> None:
+        """Per-completion hook of the stepping kernel."""
         self._outstanding_tokens -= (request.input_tokens
                                      + request.output_tokens)
 
     def submit(self, request: Request) -> None:
         """Route ``request`` here; it arrives when the clock reaches it.
 
-        The cluster routes in global arrival order, so ``pending`` stays
+        The cluster routes in global event order, so ``pending`` stays
         sorted by arrival time without re-sorting.
         """
         self.pending.append(request)
@@ -192,167 +172,48 @@ class ReplicaSim:
         """Run iterations until the clock reaches ``min(target, horizon)``
         or the replica goes idle with nothing arriving before then.
 
-        Mirrors ``ServingEngine.run``: an iteration starts whenever the
-        clock is still below the limit, even if it ends past it, and an
-        idle replica's clock stays at its last event (never inflated to
-        the horizon).
+        An idle replica's clock stays at its last event (never inflated
+        to the horizon).  With a fault plan the advance also honors the
+        replica's stall windows, slowdown multipliers and restart
+        instant, and never crosses its next crash — the cluster fires
+        the crash there.  Clean segments in between take the plain
+        kernel step, fast-forward included.
         """
         if not self.has_work:
             return
         limit = min(target, horizon)
-        if not self.now < limit:
-            # the clock already reached the limit: zero iterations can
-            # run, so the replica state — and therefore the snapshot the
-            # router would rebuild — is unchanged.  Keeping the cached
-            # snapshot removes most per-arrival bookkeeping on busy
-            # fleets where arrivals outpace the iteration clock.
-            return
-        self._snapshot = None
-        scheduler = self.scheduler
-        pending = self.pending
-        engine = self.engine
-        device = engine.device
-        model = engine.model
-        num_devices = engine.num_devices
-        fast_forward = engine.fast_forward
-        while self.now < limit:
-            while pending and pending[0].arrival_time <= self.now:
-                scheduler.enqueue(pending.popleft())
-            plan = scheduler.plan_iteration()
-            if not plan.has_work:
-                if not pending:
-                    break
-                # idle-jump to the next routed arrival, clamped to the
-                # limit — the same rule as ServingEngine.run, so a
-                # post-horizon arrival leaves the clock at the horizon,
-                # never past it
-                self.now = min(pending[0].arrival_time, limit)
-                continue
-            if fast_forward and plan.decode_batch \
-                    and plan.prefill_tokens == 0:
-                # same pure-decode fast-forward as ServingEngine.run,
-                # additionally bounded by the advance limit
-                self.now, steps, self.busy, self.decode_time = \
-                    run_decode_burst(
-                        scheduler, plan, pending, device, model,
-                        num_devices, self.now, limit, self.busy,
-                        self.decode_time, self.finished,
-                        on_finish=self._note_finished)
-                self.iterations += steps
-                self.decode_steps += steps
-                continue
-            step, decode_part, prefill_part = \
-                engine._iteration_seconds(plan)
-            self.now += step
-            self.busy += step
-            self.decode_time += decode_part
-            self.prefill_time += prefill_part
-            self.iterations += 1
-            if plan.decode_batch:
-                self.decode_steps += 1
-                finished_now: list[Request] = []
-                for request in plan.decode_requests:
-                    request.record_token(self.now)
-                    if request.done:
-                        self.finished.append(request)
-                        finished_now.append(request)
-                        self._outstanding_tokens -= (
-                            request.input_tokens + request.output_tokens)
-                plan.finished_decodes = finished_now
-            scheduler.complete_iteration(plan)
-
-    # ------------------------------------------------------------------ #
-    # Fault-aware stepping (only entered when faults are enabled)          #
-    # ------------------------------------------------------------------ #
-
-    def advance_faulty(self, target: float, horizon: float) -> None:
-        """Fault-aware :meth:`advance_to`: honors the replica's stall
-        windows, slowdown multipliers and next crash boundary.
-
-        The clock never crosses the plan's ``crash_at`` — the cluster
-        fires the crash there — and inside clean segments the advance
-        delegates to the plain path (same fast-forward, same timing).
-        """
         plan = self.fault_plan
         if plan is None:
-            self.advance_to(target, horizon)
+            # the clock already at the limit means zero iterations can
+            # run, so the replica state — and the snapshot the router
+            # would rebuild — is unchanged: keep the cached snapshot
+            if self.now < limit:
+                self._snapshot = None
+                self.step_until(limit)
             return
-        limit = min(target, horizon)
         crash = plan.crash_at
         if crash is not None:
             limit = min(limit, crash)
-        if self.now < self.restart_at:
-            # down after a crash: the clock holds until new work routed
-            # post-restart pulls it across the outage (same idle-clock
-            # rule as advance_to — downtime with no work costs nothing)
+        while self.now < limit:
             if not self.has_work:
                 return
             self._snapshot = None
-            self.now = min(self.restart_at, limit)
             if self.now < self.restart_at:
-                return
-        while self.now < limit:
-            if not self.has_work:
-                return
+                # down after a crash: the clock holds until work routed
+                # post-restart pulls it across the outage (downtime with
+                # no work costs nothing)
+                self.now = min(self.restart_at, limit)
+                continue
             window = plan.window_at(self.now)
             if window is not None and window.kind == "stall":
-                self._snapshot = None
                 self.now = min(window.end_s, limit)
                 continue
-            segment = plan.next_boundary(self.now, limit)
             before = self.now
-            if window is None:
-                self.advance_to(segment, horizon)
-            else:
-                self._advance_slow(segment, window.factor)
+            self.step_until(plan.next_boundary(self.now, limit),
+                            None if window is None else window.factor)
             if not self.now > before:
-                # idle with nothing arriving before the boundary — the
-                # inner advance already concluded there is no progress
+                # idle with nothing arriving before the boundary
                 return
-
-    def _advance_slow(self, limit: float, factor: float) -> None:
-        """Straggler window: per-iteration advance with every step time
-        multiplied by ``factor``.
-
-        No decode fast-forward here — a burst is timed at full speed and
-        would cross the window boundary at the wrong rate.  The loop is
-        otherwise the same iteration body as :meth:`advance_to`.
-        """
-        self._snapshot = None
-        scheduler = self.scheduler
-        pending = self.pending
-        engine = self.engine
-        while self.now < limit:
-            while pending and pending[0].arrival_time <= self.now:
-                scheduler.enqueue(pending.popleft())
-            plan = scheduler.plan_iteration()
-            if not plan.has_work:
-                if not pending:
-                    return
-                self.now = min(pending[0].arrival_time, limit)
-                continue
-            step, decode_part, prefill_part = \
-                engine._iteration_seconds(plan)
-            step *= factor
-            decode_part *= factor
-            prefill_part *= factor
-            self.now += step
-            self.busy += step
-            self.decode_time += decode_part
-            self.prefill_time += prefill_part
-            self.iterations += 1
-            if plan.decode_batch:
-                self.decode_steps += 1
-                finished_now: list[Request] = []
-                for request in plan.decode_requests:
-                    request.record_token(self.now)
-                    if request.done:
-                        self.finished.append(request)
-                        finished_now.append(request)
-                        self._outstanding_tokens -= (
-                            request.input_tokens + request.output_tokens)
-                plan.finished_decodes = finished_now
-            scheduler.complete_iteration(plan)
 
     def crash_reset(self, when: float, restart_at: float) -> list[Request]:
         """Crash at ``when``: every in-flight request loses its generated
@@ -363,16 +224,15 @@ class ReplicaSim:
         Completed work and busy/iteration counters survive — a crash
         destroys state, not history.
         """
-        lost = (list(self.scheduler.prefilling)
-                + list(self.scheduler.decoding)
-                + list(self.scheduler.queued)
-                + list(self.pending))
+        lost = self.in_flight()
         tokens = sum(r.input_tokens + r.output_tokens for r in lost)
         self.assigned_requests -= len(lost)
         self.assigned_tokens -= tokens
         self._outstanding_tokens -= tokens
         engine = self.engine
         if self.prefix_cache is not None:
+            # pre-crash stats are stashed so the replica's reuse
+            # history stays complete across the cold restart
             self._prior_cache_stats.append(self.prefix_cache.stats)
             self.prefix_cache = engine.build_prefix_cache()
         self.scheduler = ContinuousBatchingScheduler(
@@ -386,28 +246,7 @@ class ReplicaSim:
 
     def result(self) -> SimulationResult:
         """This replica's outcome in the single-engine result shape."""
-        unfinished = (self.scheduler.prefilling + self.scheduler.decoding
-                      + list(self.scheduler.queued) + list(self.pending))
-        cache_stats = None
-        if self.prefix_cache is not None:
-            # a crash restarts the cache cold; pre-crash stats are
-            # stashed so the replica's reuse history stays complete
-            if self._prior_cache_stats:
-                cache_stats = PrefixCacheStats.merged(
-                    self._prior_cache_stats + [self.prefix_cache.stats])
-            else:
-                cache_stats = self.prefix_cache.stats
-        return SimulationResult(
-            finished=list(self.finished),
-            unfinished=unfinished,
-            total_time_s=self.now,
-            iterations=self.iterations,
-            decode_steps=self.decode_steps,
-            busy_time_s=self.busy,
-            decode_time_s=self.decode_time,
-            prefill_time_s=self.prefill_time,
-            prefix_cache=cache_stats,
-        )
+        return self._result(list(self.finished))
 
 
 def _sorted_by_arrival(requests):
@@ -605,46 +444,6 @@ class ClusterEngine:
             group.decode_tokens_per_s = 8.0 / decode_s \
                 if decode_s > 0 else 0.0
 
-    def _new_replica(self, replica_id: int,
-                     group: EngineGroup | None = None) -> ReplicaSim:
-        if group is None:
-            group = self.groups[0]
-        replica = ReplicaSim(
-            replica_id,
-            ServingEngine(group.device, group.model,
-                          group.limits, group.num_devices,
-                          fast_forward=self.fast_forward,
-                          prefix_cache=self.prefix_cache))
-        replica.group = group
-        replica.group_index = group.index
-        replica.chip_label = group.name
-        replica.prefill_rate = group.prefill_tokens_per_s
-        replica.decode_rate = group.decode_tokens_per_s
-        return replica
-
-    def _initial_fleet(self) -> list[ReplicaSim]:
-        """Replica ids run 0..N-1 group by group, in spec order."""
-        fleet: list[ReplicaSim] = []
-        for group in self.groups:
-            for _ in range(group.count):
-                fleet.append(self._new_replica(len(fleet), group))
-        return fleet
-
-    def _static_breakdowns(
-            self, fleet: list[ReplicaSim],
-            results: list[SimulationResult],
-    ) -> tuple[tuple[GroupBreakdown, ...] | None, tuple[int, ...] | None]:
-        """Per-group shares of a fixed-fleet run (hetero fleets only)."""
-        if len(self.groups) == 1:
-            return None, None
-        wall = max(result.total_time_s for result in results)
-        group_ids = tuple(replica.group_index for replica in fleet)
-        meta = [(g.name, g.chip, g.cost_per_replica_s)
-                for g in self.groups]
-        seconds = [wall * g.count for g in self.groups]
-        return group_breakdowns(results, group_ids, meta,
-                                seconds), group_ids
-
     @staticmethod
     def _route(router: RouterPolicy, request: Request,
                routable: list[ReplicaSim]) -> ReplicaSim:
@@ -668,312 +467,110 @@ class ClusterEngine:
         """Route the arrival stream, drain every replica, aggregate.
 
         ``requests`` is a list (the classic path) or a lazy iterable /
-        :class:`~repro.serving.stream.RequestStream`, consumed one
-        arrival at a time — bit-identical results either way (the
-        fault paths buffer arrivals in their event heap regardless).
+        :class:`~repro.serving.stream.RequestStream`; either way the one
+        event loop pulls arrivals one at a time and never buffers the
+        stream, so results are bit-identical and memory stays constant.
         ``progress`` is called as ``progress(sim_time, done_count)``
-        once per routed arrival; wall-clock throttling lives in the
+        once per routed request; wall-clock throttling lives in the
         caller, keeping the engine deterministic.
         """
         router = make_router(self.router)
         faults = self.faults \
             if self.faults is not None and self.faults.enabled else None
-        if faults is None:
-            # the fault-free paths are byte-identical to the pre-fault
-            # engine: a disabled spec enters zero new code
-            if self.autoscale is None:
-                return self._run_static(requests, max_sim_seconds, router,
-                                        progress)
-            return self._run_autoscaled(requests, max_sim_seconds, router,
-                                        progress)
-        if self.autoscale is None:
-            return self._run_static_faulty(requests, max_sim_seconds,
-                                           router, faults, progress)
-        return self._run_autoscaled_faulty(requests, max_sim_seconds,
-                                           router, faults, progress)
-
-    def _run_static(self, requests, max_sim_seconds: float,
-                    router: RouterPolicy, progress=None) -> ClusterResult:
-        fleet = self._initial_fleet()
-        for request in _sorted_by_arrival(requests):
-            arrival = request.arrival_time
-            for replica in fleet:
-                replica.advance_to(arrival, max_sim_seconds)
-            self._route(router, request, fleet).submit(request)
-            if progress is not None:
-                progress(arrival, sum(len(r.finished) for r in fleet))
-        for replica in fleet:
-            replica.advance_to(float("inf"), max_sim_seconds)
-        results = [r.result() for r in fleet]
-        breakdowns, group_ids = self._static_breakdowns(fleet, results)
-        return aggregate_cluster(results, groups=breakdowns,
-                                 group_ids=group_ids)
-
-    def _run_autoscaled(self, requests, max_sim_seconds: float,
-                        router: RouterPolicy,
-                        progress=None) -> ClusterResult:
-        spec = self.autoscale
-        policy = self.autoscaler if self.autoscaler is not None \
-            else make_autoscaler(spec.policy)
-        fleet = _DynamicFleet(self._new_replica, spec, self.groups)
-        next_decision = spec.decision_interval_s
-        for request in _sorted_by_arrival(requests):
-            arrival = request.arrival_time
-            while next_decision <= arrival \
-                    and next_decision <= max_sim_seconds:
-                fleet.decide(next_decision, max_sim_seconds, policy)
-                next_decision += spec.decision_interval_s
-            for replica in fleet.live:
-                replica.advance_to(arrival, max_sim_seconds)
-            routable = fleet.routable(arrival)
+        events = _Events(_sorted_by_arrival(requests))
+        fleet = _Fleet(self, events, max_sim_seconds,
+                       FaultInjector(faults, max_sim_seconds)
+                       if faults is not None else None)
+        last = 0.0
+        while True:
+            event = events.pop()
+            if event is None:
+                if fleet.tick():
+                    continue
+                fleet.advance(math.inf)
+                if fleet.fire_crashes(last):
+                    continue  # crashes during the drain queued retries
+                break
+            now, _, _, request = event
+            last = max(last, now)
+            fleet.decide_through(now)
+            fleet.advance(now)
+            fleet.fire_crashes(now)
+            if events.behind(now):
+                # a crash pushed retries behind this event in time:
+                # requeue it (same key) and serve them first
+                events.requeue(event)
+                continue
+            if fleet.timed_out(request, now):
+                continue
+            routable = fleet.routable(now)
             if not routable:
-                # structurally unreachable: scale-down cancels
-                # provisioning replicas before draining ready ones and
-                # clamps at min_replicas >= 1, so at least one ready,
-                # non-draining replica always exists
-                raise RuntimeError(
-                    "no routable replica in the autoscaled fleet")
+                fleet.park(request, now)
+                continue
             self._route(router, request, routable).submit(request)
             fleet.note_arrival()
             if progress is not None:
-                progress(arrival,
-                         sum(len(r.finished) for r in fleet.live))
-        # keep the control loop ticking until the fleet drains, so
-        # post-traffic scale-downs (and their replica-second savings)
-        # are part of the simulated history
-        while fleet.has_work() and next_decision <= max_sim_seconds:
-            fleet.decide(next_decision, max_sim_seconds, policy)
-            next_decision += spec.decision_interval_s
-        return fleet.finalize(max_sim_seconds)
-
-    # ------------------------------------------------------------------ #
-    # Fault-enabled run paths (never entered with faults disabled)         #
-    # ------------------------------------------------------------------ #
-
-    def _run_static_faulty(self, requests, max_sim_seconds: float,
-                           router: RouterPolicy, spec: FaultSpec,
-                           progress=None) -> ClusterResult:
-        """Fixed fleet under fault injection: event-driven routing.
-
-        The arrival stream seeds a time-ordered event heap; crashes push
-        retries back onto it, so routing, retries and failures interleave
-        in one deterministic order.  Crashed replicas restart in place
-        after ``restart_delay_s`` — the fleet size is fixed, the machine
-        reboots — and are unroutable while down.
-        """
-        injector = FaultInjector(spec, max_sim_seconds)
-        coordinator = _FaultCoordinator(spec, injector)
-        fleet = self._initial_fleet()
-        for replica in fleet:
-            replica.fault_plan = injector.plan_for(replica.replica_id, 0.0)
-        for request in _sorted_by_arrival(requests):
-            coordinator.push(request.arrival_time, request)
-        last = 0.0
-        while True:
-            while coordinator.events:
-                now, seq, request = heapq.heappop(coordinator.events)
-                last = max(last, now)
-                for replica in fleet:
-                    replica.advance_faulty(now, max_sim_seconds)
-                coordinator.fire(fleet, now)
-                if coordinator.events and coordinator.events[0][0] < now:
-                    # a crash pushed retries behind this event in time:
-                    # requeue it (original seq) and serve them first
-                    heapq.heappush(coordinator.events,
-                                   (now, seq, request))
-                    continue
-                if coordinator.timed_out(request, now):
-                    continue
-                routable = [r for r in fleet if r.restart_at <= now]
-                if not routable:
-                    # whole fleet down: park the request until the first
-                    # restart, or give up if that lies past the horizon
-                    wake = min(r.restart_at for r in fleet)
-                    if wake > max_sim_seconds:
-                        injector.fail(request, now)
-                        continue
-                    coordinator.push(wake, request)
-                    continue
-                self._route(router, request, routable).submit(request)
-                if progress is not None:
-                    progress(now, sum(len(r.finished) for r in fleet))
-            for replica in fleet:
-                replica.advance_faulty(float("inf"), max_sim_seconds)
-            if not coordinator.fire(fleet, last):
-                break
-        results = [r.result() for r in fleet]
-        wall = max(result.total_time_s for result in results)
-        breakdowns, group_ids = self._static_breakdowns(fleet, results)
-        return aggregate_cluster(results, faults=injector.trace(wall),
-                                 groups=breakdowns, group_ids=group_ids)
-
-    def _run_autoscaled_faulty(self, requests, max_sim_seconds: float,
-                               router: RouterPolicy, spec: FaultSpec,
-                               progress=None) -> ClusterResult:
-        """Elastic fleet under fault injection.
-
-        Crashed replicas retire immediately (dead hardware is not a warm
-        machine) and the very next decision sees the capacity loss as
-        ``launched < desired``, replacing them through the normal
-        provisioning/warm-pool lifecycle.  Unlike the fault-free path,
-        crashes can leave the routable set empty, so requests park until
-        provisioning capacity arrives or fail when none can.
-        """
-        autoscale = self.autoscale
-        policy = self.autoscaler if self.autoscaler is not None \
-            else make_autoscaler(autoscale.policy)
-        injector = FaultInjector(spec, max_sim_seconds)
-        coordinator = _FaultCoordinator(spec, injector)
-        fleet = _FaultyDynamicFleet(self._new_replica, autoscale,
-                                    self.groups, coordinator)
-        interval = autoscale.decision_interval_s
-        next_decision = interval
-        for request in _sorted_by_arrival(requests):
-            coordinator.push(request.arrival_time, request)
-        last = 0.0
-        while True:
-            while coordinator.events:
-                now, seq, request = heapq.heappop(coordinator.events)
-                last = max(last, now)
-                while next_decision <= now \
-                        and next_decision <= max_sim_seconds:
-                    fleet.decide(next_decision, max_sim_seconds, policy)
-                    next_decision += interval
-                for replica in list(fleet.live):
-                    fleet._advance(replica, now, max_sim_seconds)
-                fleet.fire_crashes(now)
-                if coordinator.events and coordinator.events[0][0] < now:
-                    heapq.heappush(coordinator.events,
-                                   (now, seq, request))
-                    continue
-                if coordinator.timed_out(request, now):
-                    continue
-                routable = fleet.routable(now)
-                if not routable:
-                    wake = fleet.next_capacity_at(now, next_decision,
-                                                  max_sim_seconds)
-                    if wake is None:
-                        injector.fail(request, now)
-                        continue
-                    coordinator.push(wake, request)
-                    continue
-                self._route(router, request, routable).submit(request)
-                fleet.note_arrival()
-                if progress is not None:
-                    progress(now,
-                             sum(len(r.finished) for r in fleet.live))
-            if fleet.has_work() and next_decision <= max_sim_seconds:
-                # keep the control loop ticking while draining, exactly
-                # like the fault-free path — crashes during the tail are
-                # fired inside decide() and feed the event heap above
-                fleet.decide(next_decision, max_sim_seconds, policy)
-                next_decision += interval
-                continue
-            for replica in list(fleet.live):
-                fleet._advance(replica, float("inf"), max_sim_seconds)
-            if not fleet.fire_crashes(last):
-                break
-        return fleet.finalize(max_sim_seconds)
+                progress(now, sum(len(r.finished) for r in fleet.live))
+        return fleet.finalize()
 
 
-class _FaultCoordinator:
-    """Retry heap + crash firing for one fault-injected cluster run.
+class _Events:
+    """Routing events of one cluster run, in one deterministic order.
 
-    ``events`` holds ``(time, seq, request)`` routing events — arrivals
-    and crash retries — in one deterministic total order; ``seq`` is a
-    monotonic tiebreaker, so equal-time events keep insertion order and
-    the heap never compares two :class:`Request` objects.
+    Events are ``(time, kind, seq, request)``.  Arrivals (kind 0, ``seq``
+    = stream position) are pulled from the time-sorted stream one at a
+    time, only when the loop needs the next event; crash retries and
+    parked requests (kind 1, ``seq`` = push order) wait on a heap.  At
+    equal times arrivals come first, and each kind keeps its own order —
+    and the heap never compares two :class:`Request` objects.
     """
 
-    def __init__(self, spec: FaultSpec, injector: FaultInjector) -> None:
-        self.spec = spec
-        self.injector = injector
-        self.events: list[tuple[float, int, Request]] = []
-        self._seq = 0
+    __slots__ = ("_stream", "_head", "heap", "pulled", "_pushed")
+
+    def __init__(self, requests) -> None:
+        self._stream = iter(requests)
+        self._head: Request | None = None
+        self.heap: list = []
+        self.pulled = 0  # arrivals handed out so far
+        self._pushed = 0
 
     def push(self, time: float, request: Request) -> None:
-        heapq.heappush(self.events, (time, self._seq, request))
-        self._seq += 1
+        heapq.heappush(self.heap, (time, 1, self._pushed, request))
+        self._pushed += 1
 
-    def timed_out(self, request: Request, now: float) -> bool:
-        """Deadline check at routing time; a missed deadline is a
-        recorded terminal failure, not a silent drop."""
-        timeout = self.spec.request_timeout_s
-        if timeout is not None and now - request.arrival_time > timeout:
-            self.injector.fail(request, now)
-            return True
-        return False
+    def requeue(self, event: tuple) -> None:
+        heapq.heappush(self.heap, event)
 
-    def fire(self, replicas, global_now: float, on_crash=None) -> bool:
-        """Fire every due crash; returns whether any fired.
+    def behind(self, now: float) -> bool:
+        """Whether a queued retry lies before ``now``."""
+        return bool(self.heap) and self.heap[0][0] < now
 
-        A crash is due once the run's event clock passes it, or — for a
-        replica that stopped at its crash boundary with work in hand —
-        as soon as the replica's own clock reaches it.  An idle
-        replica's *future* crash never fires during the drain: nothing
-        is there to lose and nothing waits on the machine.
-
-        ``on_crash`` selects the recovery model: ``None`` restarts the
-        machine in place after ``restart_delay_s`` (fixed fleet); a
-        callback retires it (autoscaled fleet — replacement capacity
-        comes from the policy).
-        """
-        spec = self.spec
-        fired = False
-        for replica in list(replicas):
-            plan = replica.fault_plan
-            if plan is None or plan.crash_at is None:
-                continue
-            crash = plan.crash_at
-            if crash > self.injector.horizon:
-                continue
-            due = crash <= global_now \
-                or (replica.has_work and replica.now >= crash)
-            if not due:
-                continue
-            # iterations are indivisible: a crash mid-iteration takes
-            # effect when the iteration ends (replica.now), never before
-            # the scheduled instant itself
-            when = max(crash, replica.now)
-            fired = True
-            if on_crash is None:
-                restart = when + spec.restart_delay_s
-                lost = replica.crash_reset(when, restart)
-                plan.note_crash(restart)
-                downtime = spec.restart_delay_s
-            else:
-                lost = replica.crash_reset(when, float("inf"))
-                plan.note_crash(float("inf"))
-                on_crash(replica, when)
-                downtime = 0.0
-            self.injector.record_crash(replica.replica_id, when,
-                                       len(lost), downtime)
-            for request in lost:
-                self._requeue(request, when)
-        return fired
-
-    def _requeue(self, request: Request, when: float) -> None:
-        """Retry a crash-lost request, or record it failed when its
-        retry budget or deadline is spent."""
-        spec = self.spec
-        if request.retries >= spec.max_retries:
-            self.injector.fail(request, when)
-        elif spec.request_timeout_s is not None \
-                and when - request.arrival_time > spec.request_timeout_s:
-            self.injector.fail(request, when)
-        else:
-            request.reset_for_retry()
-            self.injector.retries += 1
-            self.push(when, request)
+    def pop(self) -> tuple | None:
+        """The next event, or ``None`` once stream and heap are empty."""
+        if self._head is None and self._stream is not None:
+            self._head = next(self._stream, None)
+            if self._head is None:
+                self._stream = None
+        head = self._head
+        heap = self.heap
+        if head is not None:
+            event = (head.arrival_time, 0, self.pulled, head)
+            if not heap or event[:3] < heap[0][:3]:
+                self._head = None
+                self.pulled += 1
+                return event
+        return heapq.heappop(heap) if heap else None
 
 
-class _DynamicFleet:
-    """Replica lifecycle bookkeeping for one autoscaled cluster run.
+class _Fleet:
+    """The replicas of one cluster run and everything that happens to
+    them: routing eligibility, the resize policy and the fault plan.
 
-    Owns the live fleet, the warm pool stock, the scale-event log and
-    the per-interval timeline; :class:`ClusterEngine` drives it at
-    arrivals and decision instants.  Scale-ups pay the cold provision
-    latency unless warm stock is available; scale-downs cancel
+    A fixed fleet is a resize policy that never acts: no decision
+    instant runs, every replica is ready from time 0, and the result
+    carries no autoscale trace.  An elastic fleet consults its policy
+    every decision interval.  Scale-ups pay the cold provision latency
+    unless warm stock is available; scale-downs cancel
     still-provisioning replicas first (newest first — they hold no
     work), then drain the ready replica with the fewest outstanding
     requests (ties to the newest id).  Retiring a replica returns one
@@ -986,22 +583,46 @@ class _DynamicFleet:
     (ties to the latest group), a group-level ``provision_latency_s``
     overrides the fleet-wide cold latency, and warm stock is kept per
     group (a warm GPU is not a warm ADOR).  With one group every choice
-    collapses to the legacy single-pool behavior, bit for bit.
+    collapses to the single-pool behavior, bit for bit.
+
+    With a :class:`~repro.cluster.faults.FaultInjector` every replica is
+    armed with its fault plan at launch.  A crashed replica of a fixed
+    fleet restarts in place after ``restart_delay_s`` and is unroutable
+    while down; a crashed replica of an elastic fleet retires on the
+    spot — dead hardware is not a warm machine, so the warm pool is not
+    refilled — and the next decision sees the loss as ``launched <
+    desired``.  Without an injector (the null fault plan) none of this
+    code runs.
     """
 
-    def __init__(self, new_replica, spec: AutoscaleSpec,
-                 groups: list[EngineGroup]) -> None:
-        self.new_replica = new_replica
-        self.spec = spec
-        self.groups = groups
+    def __init__(self, engine: ClusterEngine, queue: _Events,
+                 horizon: float, injector: FaultInjector | None) -> None:
+        self.engine = engine
+        self.spec = engine.autoscale
+        self.groups = engine.groups
+        self.queue = queue
+        self.horizon = horizon
+        self.injector = injector
+        self.policy: AutoscalerPolicy | None = None
+        # a fixed fleet's first decision lies past every instant
+        self.interval = self.next_decision = math.inf
+        self.decisions_end = -math.inf
+        if self.spec is not None:
+            self.policy = engine.autoscaler if engine.autoscaler \
+                is not None else make_autoscaler(self.spec.policy)
+            self.interval = self.next_decision = \
+                self.spec.decision_interval_s
+            self.decisions_end = horizon
         self.live: list[ReplicaSim] = []
-        for group in groups:
+        self.everyone: list[ReplicaSim] = []
+        self.next_id = 0
+        for group in self.groups:
             for _ in range(group.count):
-                self.live.append(new_replica(len(self.live), group))
-        self.everyone: list[ReplicaSim] = list(self.live)
+                self._launch(group, 0.0, 0.0)
         self.initial = len(self.live)
-        self.next_id = self.initial
-        self.warm_stock = [spec.warm_pool_size for _ in groups]
+        self.warm_stock = [self.spec.warm_pool_size
+                           if self.spec is not None else 0
+                           for _ in self.groups]
         self.events: list[ScaleEvent] = []
         self.samples: list[FleetSample] = []
         self.warm_launches = 0
@@ -1011,14 +632,36 @@ class _DynamicFleet:
         self._busy_prev = 0.0
         self._retired_busy = 0.0
 
+    def _launch(self, group: EngineGroup, now: float,
+                ready_at: float) -> ReplicaSim:
+        replica = ReplicaSim(self.next_id, ServingEngine(
+            group.device, group.model, group.limits, group.num_devices,
+            fast_forward=self.engine.fast_forward,
+            prefix_cache=self.engine.prefix_cache))
+        replica.group_index = group.index
+        replica.chip_label = group.name
+        replica.prefill_rate = group.prefill_tokens_per_s
+        replica.decode_rate = group.decode_tokens_per_s
+        replica.launched_at = now
+        replica.ready_at = ready_at
+        if self.injector is not None:
+            replica.fault_plan = self.injector.plan_for(
+                replica.replica_id, now)
+        self.next_id += 1
+        self.live.append(replica)
+        self.everyone.append(replica)
+        return replica
+
     # ------------------------------------------------------------------ #
     # Queries                                                              #
     # ------------------------------------------------------------------ #
 
     def routable(self, now: float) -> list[ReplicaSim]:
-        """Ready, non-draining replicas — what the router may target."""
+        """Ready, non-draining, running replicas — what the router may
+        target."""
         return [r for r in self.live
-                if not r.draining and r.ready_at <= now]
+                if not r.draining and r.ready_at <= now
+                and r.restart_at <= now]
 
     def has_work(self) -> bool:
         return any(r.has_work for r in self.live)
@@ -1037,24 +680,131 @@ class _DynamicFleet:
             counts[replica.group_index] += 1
         return counts
 
-    def _advance(self, replica: ReplicaSim, target: float,
-                 horizon: float) -> None:
-        """Advance hook — the fault-injected fleet overrides this."""
-        replica.advance_to(target, horizon)
-
-    def _fault_trace(self, wall: float) -> FaultTrace | None:
-        """Fault-log hook — ``None`` on fault-free runs."""
-        return None
-
     # ------------------------------------------------------------------ #
-    # One decision instant                                                 #
+    # Advancing and faults                                                 #
     # ------------------------------------------------------------------ #
 
-    def decide(self, now: float, horizon: float,
-               policy: AutoscalerPolicy) -> None:
-        spec = self.spec
+    def advance(self, target: float) -> None:
         for replica in self.live:
-            self._advance(replica, now, horizon)
+            replica.advance_to(target, self.horizon)
+
+    def fire_crashes(self, global_now: float) -> bool:
+        """Fire every due crash; returns whether any fired.
+
+        A crash is due once the run's event clock passes it, or — for a
+        replica that stopped at its crash boundary with work in hand —
+        as soon as the replica's own clock reaches it.  An idle
+        replica's *future* crash never fires during the drain: nothing
+        is there to lose and nothing waits on the machine.
+        """
+        injector = self.injector
+        if injector is None:
+            return False
+        spec = injector.spec
+        fired = False
+        for replica in list(self.live):
+            plan = replica.fault_plan
+            crash = plan.crash_at
+            if crash is None or crash > injector.horizon:
+                continue
+            if not (crash <= global_now
+                    or (replica.has_work and replica.now >= crash)):
+                continue
+            # iterations are indivisible: a crash mid-iteration takes
+            # effect when the iteration ends (replica.now), never before
+            # the scheduled instant itself
+            when = max(crash, replica.now)
+            fired = True
+            # a fixed fleet reboots the machine in place; an elastic one
+            # retires it and lets the policy replace the capacity
+            downtime = spec.restart_delay_s if self.spec is None else 0.0
+            restart = when + downtime if self.spec is None else math.inf
+            lost = replica.crash_reset(when, restart)
+            plan.note_crash(restart)
+            if self.spec is not None:
+                replica.retired_at = when
+                self._retired_busy += replica.busy
+                self.live.remove(replica)
+            injector.record_crash(replica.replica_id, when, len(lost),
+                                  downtime)
+            for request in lost:
+                self._requeue(request, when)
+        return fired
+
+    def _past_deadline(self, request: Request, now: float) -> bool:
+        timeout = self.injector.spec.request_timeout_s
+        return timeout is not None and now - request.arrival_time > timeout
+
+    def _requeue(self, request: Request, when: float) -> None:
+        """Retry a crash-lost request, or record it failed when its
+        retry budget or deadline is spent."""
+        if request.retries >= self.injector.spec.max_retries \
+                or self._past_deadline(request, when):
+            self.injector.fail(request, when)
+        else:
+            request.reset_for_retry()
+            self.injector.retries += 1
+            self.queue.push(when, request)
+
+    def timed_out(self, request: Request, now: float) -> bool:
+        """Deadline check at routing time; a missed deadline is a
+        recorded terminal failure, not a silent drop."""
+        if self.injector is None or not self._past_deadline(request, now):
+            return False
+        self.injector.fail(request, now)
+        return True
+
+    def park(self, request: Request, now: float) -> None:
+        """No replica can take ``request`` now: hold it until capacity
+        can next appear — the earliest restart, a provisioning replica
+        turning ready, or the next decision instant (which can launch
+        replacements) — or record it failed when none exists within the
+        horizon."""
+        candidates = [r.restart_at for r in self.live
+                      if now < r.restart_at <= self.horizon]
+        candidates += [r.ready_at for r in self.live
+                       if not r.draining and r.ready_at > now]
+        if self.next_decision <= self.decisions_end:
+            candidates.append(self.next_decision)
+        if candidates:
+            self.queue.push(min(candidates), request)
+        elif self.injector is not None:
+            self.injector.fail(request, now)
+        else:
+            raise RuntimeError(
+                "no routable replica and no capacity to come in the "
+                "fault-free fleet")
+
+    # ------------------------------------------------------------------ #
+    # Decision instants                                                    #
+    # ------------------------------------------------------------------ #
+
+    def decide_through(self, now: float) -> None:
+        """Run every decision instant up to ``now`` within the horizon."""
+        while self.next_decision <= min(now, self.decisions_end):
+            self._decide()
+
+    def tick(self) -> bool:
+        """One decision while the fleet drains after the last event, so
+        post-traffic scale-downs (and their replica-second savings) are
+        part of the simulated history.  False once the fleet is idle or
+        the horizon has passed (always, for a fixed fleet)."""
+        if not (self.next_decision <= self.decisions_end
+                and self.has_work()):
+            return False
+        self._decide()
+        return True
+
+    def _decide(self) -> None:
+        """Run the decision due at ``next_decision`` and schedule the
+        next one."""
+        now = self.next_decision
+        self.next_decision += self.interval
+        spec = self.spec
+        self.advance(now)
+        # fire due crashes before the policy looks: lost capacity must
+        # be visible as launched < desired at this very decision
+        self.fire_crashes(now)
         interval_ttfts = self._collect_interval_ttfts()
         self._retire_drained()
         routable = self.routable(now)
@@ -1070,7 +820,7 @@ class _DynamicFleet:
             interval_arrivals=self._interval_arrivals,
             interval_ttft_s=tuple(interval_ttfts),
         )
-        desired = int(policy.desired_replicas(observation))
+        desired = int(self.policy.desired_replicas(observation))
         desired = min(max(desired, spec.min_replicas), spec.max_replicas)
         delta = desired - len(launched)
         if delta > 0:
@@ -1143,14 +893,9 @@ class _DynamicFleet:
                 latency = group.provision_latency_s \
                     if group.provision_latency_s is not None \
                     else spec.provision_latency_s
-            replica = self.new_replica(self.next_id, group)
-            replica.launched_at = now
-            replica.ready_at = now + latency
+            replica = self._launch(group, now, now + latency)
             replica.from_warm_pool = warm
-            ids.append(self.next_id)
-            self.next_id += 1
-            self.live.append(replica)
-            self.everyone.append(replica)
+            ids.append(replica.replica_id)
             launched[group.index] += 1
         if ids:
             self.events.append(ScaleEvent(
@@ -1255,12 +1000,8 @@ class _DynamicFleet:
     # End of run                                                           #
     # ------------------------------------------------------------------ #
 
-    def finalize(self, horizon: float) -> ClusterResult:
-        for replica in self.live:
-            self._advance(replica, float("inf"), horizon)
+    def finalize(self) -> ClusterResult:
         self._retire_drained()
-        # the fleet wall clock: a never-ready replica never worked, so
-        # its zero-valued clock cannot set it
         outcomes = [(replica, replica.result())
                     for replica in self.everyone]
         wall = max((result.total_time_s for _, result in outcomes),
@@ -1275,27 +1016,34 @@ class _DynamicFleet:
                               for replica, _ in served)
             meta = [(g.name, g.chip, g.cost_per_replica_s)
                     for g in self.groups]
-            seconds = [self._alive_seconds(0.0, wall, group=g.index)
-                       for g in self.groups]
+            if self.spec is None:
+                # a fixed fleet pays for every replica all run long
+                seconds = [wall * g.count for g in self.groups]
+            else:
+                seconds = [self._alive_seconds(0.0, wall, group=g.index)
+                           for g in self.groups]
             breakdowns = group_breakdowns(results, group_ids, meta,
                                           seconds)
-        trace = AutoscaleTrace(
-            events=tuple(self.events),
-            timeline=tuple(self.samples),
-            replica_seconds=self._alive_seconds(0.0, wall),
-            launched=len(self.everyone),
-            retired=sum(1 for r in self.everyone
-                        if r.retired_at is not None),
-            # the timeline samples post-decision states only, so the
-            # fleet that ran before the first decision is the floor
-            peak_replicas=max([self.initial]
-                              + [s.ready + s.provisioning
-                                 for s in self.samples]),
-            warm_launches=self.warm_launches,
-            cold_launches=self.cold_launches,
-        )
-        return aggregate_cluster(results, autoscale=trace,
-                                 faults=self._fault_trace(wall),
+        trace = None
+        if self.spec is not None:
+            trace = AutoscaleTrace(
+                events=tuple(self.events),
+                timeline=tuple(self.samples),
+                replica_seconds=self._alive_seconds(0.0, wall),
+                launched=len(self.everyone),
+                retired=sum(1 for r in self.everyone
+                            if r.retired_at is not None),
+                # the timeline samples post-decision states only, so the
+                # fleet that ran before the first decision is the floor
+                peak_replicas=max([self.initial]
+                                  + [s.ready + s.provisioning
+                                     for s in self.samples]),
+                warm_launches=self.warm_launches,
+                cold_launches=self.cold_launches,
+            )
+        faults = self.injector.trace(wall) \
+            if self.injector is not None else None
+        return aggregate_cluster(results, autoscale=trace, faults=faults,
                                  groups=breakdowns, group_ids=group_ids)
 
     @staticmethod
@@ -1308,63 +1056,3 @@ class _DynamicFleet:
         end = replica.retired_at if replica.retired_at is not None \
             else wall
         return replica.ready_at <= end
-
-
-class _FaultyDynamicFleet(_DynamicFleet):
-    """A dynamic fleet whose replicas can crash, straggle and stall.
-
-    A crashed replica retires on the spot — dead hardware is not a warm
-    machine, so the warm pool is *not* refilled — and the next decision
-    sees the loss as ``launched < desired``, replacing it through the
-    normal provisioning/warm-pool path.  Fault plans are armed lazily at
-    a replica's first advance, once its launch time is known, so a
-    replica's schedule is independent of fleet dynamics.
-    """
-
-    def __init__(self, new_replica, spec: AutoscaleSpec,
-                 groups: list[EngineGroup],
-                 coordinator: _FaultCoordinator) -> None:
-        self.coordinator = coordinator
-        super().__init__(new_replica, spec, groups)
-
-    def _advance(self, replica: ReplicaSim, target: float,
-                 horizon: float) -> None:
-        if replica.fault_plan is None:
-            replica.fault_plan = self.coordinator.injector.plan_for(
-                replica.replica_id, replica.launched_at)
-        replica.advance_faulty(target, horizon)
-
-    def decide(self, now: float, horizon: float,
-               policy: AutoscalerPolicy) -> None:
-        # fire due crashes before the policy looks: lost capacity must
-        # be visible as launched < desired at this very decision
-        for replica in list(self.live):
-            self._advance(replica, now, horizon)
-        self.fire_crashes(now)
-        super().decide(now, horizon, policy)
-
-    def fire_crashes(self, global_now: float) -> bool:
-        return self.coordinator.fire(self.live, global_now,
-                                     on_crash=self._crash_retire)
-
-    def _crash_retire(self, replica: ReplicaSim, when: float) -> None:
-        replica.retired_at = when
-        self._retired_busy += replica.busy
-        self.live.remove(replica)
-
-    def next_capacity_at(self, now: float, next_decision: float,
-                         horizon: float) -> float | None:
-        """When routable capacity can next appear: the earliest
-        still-provisioning replica, or the next decision instant (which
-        can launch replacements).  ``None`` when neither exists within
-        the horizon — the fleet can never serve the request."""
-        candidates = [r.ready_at for r in self.live
-                      if not r.draining and r.ready_at > now]
-        if next_decision <= horizon:
-            candidates.append(next_decision)
-        if not candidates:
-            return None
-        return min(candidates)
-
-    def _fault_trace(self, wall: float) -> FaultTrace:
-        return self.coordinator.injector.trace(wall)

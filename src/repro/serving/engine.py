@@ -235,9 +235,10 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     scheduler state is advanced via ``complete_burst``.  Returns
     ``(now, steps, busy, decode_time)``.
 
-    Shared by :meth:`ServingEngine.run` and
-    ``repro.cluster.engine.ReplicaSim.advance_to`` so the burst
-    semantics cannot drift between the single-engine and cluster paths.
+    Called only from :meth:`EndpointSim.step_until`, the one stepping
+    kernel behind :meth:`ServingEngine.run` and every cluster replica
+    advance, so the burst semantics cannot drift between the
+    single-engine and cluster paths.
     """
     batch = plan.decode_requests
     size = plan.decode_batch
@@ -295,32 +296,24 @@ def run_decode_burst(scheduler, plan, pending, device, model, num_devices,
     if steps:
         first = times[0]
         last = times[-1]
-        if steps == until_finish:
-            for request in batch:
-                request.generated_tokens += steps
-                if request.record_token_times:
-                    request.token_times.extend(times)
-                if request.first_token_time is None:
-                    request.first_token_time = first
-                request.last_token_time = last
-                if request.generated_tokens >= request.output_tokens:
-                    request.finish_time = last
-                    request.state = RequestState.FINISHED
-                    finished.append(request)
-                    burst_finished.append(request)
-                    if on_finish is not None:
-                        on_finish(request)
-        else:
-            # interrupted by an arrival or the limit before the earliest
-            # completion: steps < every member's remaining tokens, so
-            # nobody can have finished
-            for request in batch:
-                request.generated_tokens += steps
-                if request.record_token_times:
-                    request.token_times.extend(times)
-                if request.first_token_time is None:
-                    request.first_token_time = first
-                request.last_token_time = last
+        # a burst interrupted by an arrival or the limit stopped short
+        # of every member's remaining tokens: nobody can have finished
+        complete = steps == until_finish
+        for request in batch:
+            request.generated_tokens += steps
+            if request.record_token_times:
+                request.token_times.extend(times)
+            if request.first_token_time is None:
+                request.first_token_time = first
+            request.last_token_time = last
+            if complete \
+                    and request.generated_tokens >= request.output_tokens:
+                request.finish_time = last
+                request.state = RequestState.FINISHED
+                finished.append(request)
+                burst_finished.append(request)
+                if on_finish is not None:
+                    on_finish(request)
     scheduler.complete_burst(plan, steps, burst_finished)
     return now, steps, busy, decode_time
 
@@ -350,6 +343,138 @@ class _FinishedSink:
 
     def __len__(self) -> int:
         return self.count
+
+
+class EndpointSim:
+    """One endpoint's live serving state and the stepping kernel over it.
+
+    Holds the scheduler, the routed-but-not-yet-arrived ``pending``
+    queue, the local clock and the run counters.
+    :meth:`ServingEngine.run` drives one to its horizon, and every
+    cluster replica (``repro.cluster.engine.ReplicaSim``) is one that
+    the cluster advances between routing events.  Both step through
+    :meth:`step_until`, so the iteration body exists exactly once.
+    """
+
+    #: per-completion hook (``None``: nothing beyond ``finished``)
+    on_finish = None
+
+    def __init__(self, engine: "ServingEngine", pending=None,
+                 finished=None) -> None:
+        self.engine = engine
+        self.prefix_cache = engine.build_prefix_cache()
+        self.scheduler = ContinuousBatchingScheduler(
+            engine.model, engine.limits, prefix_cache=self.prefix_cache)
+        self.pending = deque() if pending is None else pending
+        self.finished = [] if finished is None else finished
+        self.now = 0.0
+        self.iterations = 0
+        self.decode_steps = 0
+        self.busy = 0.0
+        self.decode_time = 0.0
+        self.prefill_time = 0.0
+        self._prior_cache_stats: list[PrefixCacheStats] = []
+
+    @property
+    def has_work(self) -> bool:
+        """Anything routed here that has not finished yet."""
+        return bool(self.pending) or self.scheduler.has_work
+
+    def step_until(self, limit: float, factor: float | None = None,
+                   observe=None) -> bool:
+        """Run iterations until the clock reaches ``limit`` or the
+        endpoint goes idle with nothing arriving before then.
+
+        An iteration starts whenever the clock is still below the limit,
+        even if it ends past it, and an idle endpoint jumps to its next
+        arrival clamped to the limit (a late arrival never inflates the
+        clock).  ``factor`` marks a straggler segment: every step time is
+        multiplied by it and decode fast-forward is off, because a burst
+        is timed at full speed and would cross the segment end at the
+        wrong rate; ``None`` is a clean segment.  ``observe(now)`` runs
+        once per pass after arrivals are admitted; returning true aborts
+        the run, and so does this method's return value.
+        """
+        scheduler = self.scheduler
+        pending = self.pending
+        finished = self.finished
+        engine = self.engine
+        on_finish = self.on_finish
+        burst = engine.fast_forward and factor is None
+        scale = 1.0 if factor is None else factor
+        now = self.now
+        aborted = False
+        while now < limit:
+            while pending and pending[0].arrival_time <= now:
+                scheduler.enqueue(pending.popleft())
+            if observe is not None and observe(now):
+                aborted = True
+                break
+            plan = scheduler.plan_iteration()
+            if not plan.has_work:
+                if not pending:
+                    break
+                now = min(pending[0].arrival_time, limit)
+                continue
+            if burst and plan.decode_batch and plan.prefill_tokens == 0:
+                # Pure decode: nothing prefilling, and anything still
+                # queued stayed blocked during _admit, which only
+                # unblocks after a completion.  Fast-forward whole steps
+                # until the earliest completion, the next arrival, or
+                # the limit — whichever the per-step clock hits first.
+                now, steps, self.busy, self.decode_time = run_decode_burst(
+                    scheduler, plan, pending, engine.device, engine.model,
+                    engine.num_devices, now, limit, self.busy, self.decode_time, finished,
+                    on_finish=on_finish)
+                self.iterations += steps
+                self.decode_steps += steps
+                continue
+            step, decode_part, prefill_part = engine._iteration_seconds(plan)
+            step *= scale
+            now += step
+            self.busy += step
+            self.decode_time += decode_part * scale
+            self.prefill_time += prefill_part * scale
+            self.iterations += 1
+            if plan.decode_batch:
+                self.decode_steps += 1
+                finished_now: list[Request] = []
+                for request in plan.decode_requests:
+                    request.record_token(now)
+                    if request.done:
+                        finished.append(request)
+                        finished_now.append(request)
+                        if on_finish is not None:
+                            on_finish(request)
+                plan.finished_decodes = finished_now
+            scheduler.complete_iteration(plan)
+        self.now = now
+        return aborted
+
+    def in_flight(self) -> list[Request]:
+        """Every request routed here that has not finished, in the
+        scheduler's order: prefilling, decoding, queued, not arrived."""
+        scheduler = self.scheduler
+        return scheduler.prefilling + scheduler.decoding \
+            + list(scheduler.queued) + list(self.pending)
+
+    def _result(self, finished: list, **extra) -> SimulationResult:
+        """The run so far in the single-engine result shape; prefix
+        cache stats span every cold restart of the cache."""
+        cache = self.prefix_cache
+        return SimulationResult(
+            finished=finished,
+            unfinished=self.in_flight(),
+            total_time_s=self.now,
+            iterations=self.iterations,
+            decode_steps=self.decode_steps,
+            busy_time_s=self.busy,
+            decode_time_s=self.decode_time,
+            prefill_time_s=self.prefill_time,
+            prefix_cache=None if cache is None else PrefixCacheStats.merged(
+                self._prior_cache_stats + [cache.stats]),
+            **extra,
+        )
 
 
 class ServingEngine:
@@ -454,91 +579,29 @@ class ServingEngine:
                 "a finished-request sink cannot be combined with an "
                 "InstabilityMonitor: the monitor inspects the retained "
                 "finished list the sink exists to avoid")
-        cache = self.build_prefix_cache()
-        scheduler = ContinuousBatchingScheduler(self.model, self.limits,
-                                                prefix_cache=cache)
-        now = 0.0
         finished = _FinishedSink(sink) if sink is not None else []
-        iterations = 0
-        decode_steps = 0
-        busy = 0.0
-        decode_time = 0.0
-        prefill_time = 0.0
-        saturated: Saturated | None = None
-        device = self.device
-        model = self.model
-        num_devices = self.num_devices
-
-        while now < max_sim_seconds:
-            while pending and pending[0].arrival_time <= now:
-                scheduler.enqueue(pending.popleft())
-            if progress is not None:
-                progress(now, len(finished))
-            # backlog = arrived requests still waiting for a first token
-            # (admission may be generous, so saturation can pile up in
-            # the prefill queue rather than the admission queue)
-            if monitor is not None and monitor.observe(
+        state = EndpointSim(self, pending, finished)
+        scheduler = state.scheduler
+        observe = None
+        if progress is not None or monitor is not None:
+            def observe(now: float) -> bool:
+                if progress is not None:
+                    progress(now, len(finished))
+                # backlog = arrived requests still waiting for a first
+                # token (admission may be generous, so saturation can
+                # pile up in the prefill queue rather than the admission
+                # queue)
+                return monitor is not None and monitor.observe(
                     now, len(scheduler.queued) + len(scheduler.prefilling),
-                    finished):
-                saturated = monitor.verdict
-                break
-            plan = scheduler.plan_iteration()
-            if not plan.has_work:
-                if not pending:
-                    break
-                # idle until the next arrival, never past the horizon
-                # (a late arrival must not inflate total_time_s)
-                now = min(pending[0].arrival_time, max_sim_seconds)
-                continue
-            if self.fast_forward and plan.decode_batch \
-                    and plan.prefill_tokens == 0:
-                # Pure decode: nothing prefilling, and anything still
-                # queued stayed blocked during _admit, which only
-                # unblocks after a completion.  Fast-forward whole steps
-                # until the earliest completion, the next arrival, or
-                # the horizon — whichever the per-step clock hits first.
-                now, steps, busy, decode_time = run_decode_burst(
-                    scheduler, plan, pending, device, model, num_devices,
-                    now, max_sim_seconds, busy, decode_time, finished)
-                iterations += steps
-                decode_steps += steps
-                continue
-            step, decode_part, prefill_part = self._iteration_seconds(plan)
-            now += step
-            busy += step
-            decode_time += decode_part
-            prefill_time += prefill_part
-            iterations += 1
-            if plan.decode_batch:
-                decode_steps += 1
-                finished_now: list[Request] = []
-                for request in plan.decode_requests:
-                    request.record_token(now)
-                    if request.done:
-                        finished.append(request)
-                        finished_now.append(request)
-                plan.finished_decodes = finished_now
-            scheduler.complete_iteration(plan)
-
-        unfinished = scheduler.prefilling + scheduler.decoding \
-            + list(scheduler.queued) + list(pending)
+                    finished)
+        aborted = state.step_until(max_sim_seconds, observe=observe)
         if progress is not None:
-            progress(now, len(finished))
-        sunk_finished = sunk_tokens = 0
+            progress(state.now, len(finished))
+        extra = {}
         if isinstance(finished, _FinishedSink):
-            sunk_finished, sunk_tokens = finished.count, finished.tokens
+            extra = {"sunk_finished": finished.count,
+                     "sunk_tokens": finished.tokens}
             finished = []
-        return SimulationResult(
-            finished=finished,
-            unfinished=unfinished,
-            total_time_s=now,
-            iterations=iterations,
-            decode_steps=decode_steps,
-            busy_time_s=busy,
-            decode_time_s=decode_time,
-            prefill_time_s=prefill_time,
-            saturated=saturated,
-            prefix_cache=cache.stats if cache is not None else None,
-            sunk_finished=sunk_finished,
-            sunk_tokens=sunk_tokens,
-        )
+        return state._result(
+            finished, saturated=monitor.verdict if aborted else None,
+            **extra)
