@@ -507,11 +507,29 @@ class ClusterEngine:
             if not routable:
                 fleet.park(request, now)
                 continue
-            self._route(router, request, routable).submit(request)
+            replica = self._route(router, request, routable)
+            if request.arrival_time < now:
+                # a retried or parked request keeps its original arrival
+                # time, so the replica's own idle jump would start it in
+                # the past: hold the replica's clock to the routing
+                # instant (never past the horizon) instead
+                replica.now = max(replica.now, min(now, max_sim_seconds))
+            replica.submit(request)
             fleet.note_arrival()
             if progress is not None:
                 progress(now, sum(len(r.finished) for r in fleet.live))
-        return fleet.finalize()
+        result = fleet.finalize()
+        merged = result.merged
+        failed = result.faults.failed_count \
+            if result.faults is not None else 0
+        accounted = len(merged.finished) + len(merged.unfinished) + failed
+        if accounted != events.pulled:
+            raise RuntimeError(
+                f"request conservation violated: {events.pulled} arrived "
+                f"but {len(merged.finished)} finished + "
+                f"{len(merged.unfinished)} unfinished + {failed} failed = "
+                f"{accounted} ({events.pulled - accounted:+d} missing)")
+        return result
 
 
 class _Events:
@@ -763,7 +781,7 @@ class _Fleet:
         candidates = [r.restart_at for r in self.live
                       if now < r.restart_at <= self.horizon]
         candidates += [r.ready_at for r in self.live
-                       if not r.draining and r.ready_at > now]
+                       if not r.draining and now < r.ready_at <= self.horizon]
         if self.next_decision <= self.decisions_end:
             candidates.append(self.next_decision)
         if candidates:
@@ -1007,7 +1025,7 @@ class _Fleet:
         wall = max((result.total_time_s for _, result in outcomes),
                    default=0.0)
         served = [(replica, result) for replica, result in outcomes
-                  if self._ever_ready(replica, wall)]
+                  if self._reported(replica, wall)]
         results = [result for _, result in served]
         breakdowns: tuple[GroupBreakdown, ...] | None = None
         group_ids: tuple[int, ...] | None = None
@@ -1047,12 +1065,15 @@ class _Fleet:
                                  groups=breakdowns, group_ids=group_ids)
 
     @staticmethod
-    def _ever_ready(replica: ReplicaSim, wall: float) -> bool:
+    def _reported(replica: ReplicaSim, wall: float) -> bool:
         """False for replicas that never finished provisioning — whether
         cancelled by a scale-down or still mid-provision when the run
-        ended.  They never existed from the traffic's point of view, so
-        they carry no per-replica result (an all-zero entry would skew
-        the load-imbalance stats); they still cost replica-seconds."""
+        ended — and hold no request.  They never existed from the
+        traffic's point of view, so they carry no per-replica result (an
+        all-zero entry would skew the load-imbalance stats); they still
+        cost replica-seconds.  A replica that turns ready past the wall
+        clock can still be routed arrivals that come after the horizon;
+        it reports them as unfinished."""
         end = replica.retired_at if replica.retired_at is not None \
             else wall
-        return replica.ready_at <= end
+        return replica.ready_at <= end or replica.assigned_requests > 0
