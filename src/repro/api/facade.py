@@ -43,7 +43,25 @@ from repro.serving.utilization import UtilizationReport, utilization_report
 
 
 class EndpointOverloaded(RuntimeError):
-    """No request finished inside the horizon: the load is unsustainable."""
+    """No request finished inside the horizon: the load is unsustainable,
+    or injected faults took the fleet down."""
+
+
+def _nothing_finished(cluster: ClusterResult, fleet_label: str,
+                      workload: WorkloadSpec,
+                      max_sim_seconds: float) -> EndpointOverloaded:
+    """The error for a cluster run with no completion, naming its cause:
+    crashes and failed requests when faults struck, capacity otherwise."""
+    faults = cluster.faults
+    if faults is not None and (faults.crashes or faults.failed_count):
+        cause = (f"injected faults took {fleet_label} down: "
+                 f"{faults.crashes} crash(es), {faults.failed_count} "
+                 f"failed request(s)")
+    else:
+        cause = (f"{fleet_label} cannot sustain "
+                 f"{workload.rate_per_s:g} req/s")
+    return EndpointOverloaded(
+        f"no requests finished within {max_sim_seconds:g} s — {cause}")
 
 
 def _prefix_cache_lines(stats) -> list[str]:
@@ -695,10 +713,8 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
             deployment, workload, max_sim_seconds, shards,
             sim_cache=sim_cache, context_bucket=context_bucket)
         if not cluster.merged.finished:
-            raise EndpointOverloaded(
-                f"no requests finished within {max_sim_seconds:g} s — "
-                f"{fleet_label} cannot sustain "
-                f"{workload.rate_per_s:g} req/s")
+            raise _nothing_finished(cluster, fleet_label, workload,
+                                    max_sim_seconds)
         return ClusterReport(
             deployment=deployment,
             workload=workload,
@@ -714,10 +730,8 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     cluster = engine.run(requests, max_sim_seconds=max_sim_seconds,
                          progress=progress)
     if not cluster.merged.finished:
-        raise EndpointOverloaded(
-            f"no requests finished within {max_sim_seconds:g} s — "
-            f"{fleet_label} cannot sustain "
-            f"{workload.rate_per_s:g} req/s")
+        raise _nothing_finished(cluster, fleet_label, workload,
+                                max_sim_seconds)
     return ClusterReport(
         deployment=deployment,
         workload=workload,

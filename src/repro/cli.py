@@ -343,7 +343,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                           shards=args.shards,
                           progress=_progress_reporter(args, "serve"))
     except EndpointOverloaded as exc:
-        print(f"no requests finished — {exc}")
+        print(exc)
         return 1
     except MemoryError as exc:
         # an undersized --kv-budget-gb pool that cannot hold even one
@@ -459,7 +459,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                 shards=args.shards,
                                 progress=_progress_reporter(args, "run"))
     except EndpointOverloaded as exc:
-        print(f"no requests finished — {exc}")
+        print(exc)
         return 1
     except EndpointUnservable as exc:
         # a capacity experiment whose endpoint cannot serve even the

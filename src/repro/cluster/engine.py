@@ -65,7 +65,7 @@ from repro.perf.baselines import DeviceModel
 from repro.serving.engine import EndpointSim, ServingEngine, SimulationResult
 from repro.serving.request import Request
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
-from repro.serving.stream import RequestStream, as_stream
+from repro.serving.stream import in_arrival_order
 
 
 class ReplicaSim(EndpointSim):
@@ -96,7 +96,7 @@ class ReplicaSim(EndpointSim):
         self.decode_rate = 0.0
         self.assigned_requests = 0
         self.assigned_tokens = 0
-        self._outstanding_tokens = 0
+        self.outstanding_tokens = 0
         self._snapshot: ReplicaSnapshot | None = None
         # --- lifecycle (managed by the cluster engine) ---
         self.launched_at = 0.0
@@ -118,10 +118,6 @@ class ReplicaSim(EndpointSim):
     def outstanding_requests(self) -> int:
         return self.assigned_requests - len(self.finished)
 
-    @property
-    def outstanding_tokens(self) -> int:
-        return self._outstanding_tokens
-
     def snapshot(self) -> ReplicaSnapshot:
         # idle replicas are snapshotted once and served from cache until
         # the next submit/advance dirties them — on a lightly loaded
@@ -132,7 +128,7 @@ class ReplicaSim(EndpointSim):
                 replica_id=self.replica_id,
                 clock_s=self.now,
                 outstanding_requests=self.outstanding_requests,
-                outstanding_tokens=self._outstanding_tokens,
+                outstanding_tokens=self.outstanding_tokens,
                 queued_requests=len(self.pending)
                 + len(self.scheduler.queued),
                 active_requests=self.scheduler.active_count,
@@ -152,8 +148,8 @@ class ReplicaSim(EndpointSim):
 
     def on_finish(self, request: Request) -> None:
         """Per-completion hook of the stepping kernel."""
-        self._outstanding_tokens -= (request.input_tokens
-                                     + request.output_tokens)
+        self.outstanding_tokens -= (request.input_tokens
+                                    + request.output_tokens)
 
     def submit(self, request: Request) -> None:
         """Route ``request`` here; it arrives when the clock reaches it.
@@ -165,7 +161,7 @@ class ReplicaSim(EndpointSim):
         self.assigned_requests += 1
         tokens = request.input_tokens + request.output_tokens
         self.assigned_tokens += tokens
-        self._outstanding_tokens += tokens
+        self.outstanding_tokens += tokens
         self._snapshot = None
 
     def advance_to(self, target: float, horizon: float) -> None:
@@ -228,7 +224,7 @@ class ReplicaSim(EndpointSim):
         tokens = sum(r.input_tokens + r.output_tokens for r in lost)
         self.assigned_requests -= len(lost)
         self.assigned_tokens -= tokens
-        self._outstanding_tokens -= tokens
+        self.outstanding_tokens -= tokens
         engine = self.engine
         if self.prefix_cache is not None:
             # pre-crash stats are stashed so the replica's reuse
@@ -247,31 +243,6 @@ class ReplicaSim(EndpointSim):
     def result(self) -> SimulationResult:
         """This replica's outcome in the single-engine result shape."""
         return self._result(list(self.finished))
-
-
-def _sorted_by_arrival(requests):
-    """The arrival stream in time order.
-
-    Lists and tuples keep the pre-streaming behavior: scanned once and
-    returned as-is when already sorted (repeat runs over one stream skip
-    the re-sort), sorted into a copy otherwise.  A
-    :class:`~repro.serving.stream.RequestStream` — or any other lazy
-    iterable, which gets wrapped into one — must *not* be materialized
-    or re-sorted here: the stream checks monotonicity online as each
-    request is pulled and raises
-    :class:`~repro.serving.stream.OutOfOrderArrival` naming the
-    offending timestamp the moment a producer emits out of order.
-    """
-    if isinstance(requests, RequestStream):
-        return requests
-    if not isinstance(requests, (list, tuple)):
-        return as_stream(requests)
-    previous = None
-    for request in requests:
-        if previous is not None and request.arrival_time < previous:
-            return sorted(requests, key=lambda r: r.arrival_time)
-        previous = request.arrival_time
-    return requests
 
 
 class EngineGroup:
@@ -477,7 +448,7 @@ class ClusterEngine:
         router = make_router(self.router)
         faults = self.faults \
             if self.faults is not None and self.faults.enabled else None
-        events = _Events(_sorted_by_arrival(requests))
+        events = _Events(in_arrival_order(requests))
         fleet = _Fleet(self, events, max_sim_seconds,
                        FaultInjector(faults, max_sim_seconds)
                        if faults is not None else None)
@@ -519,16 +490,14 @@ class ClusterEngine:
             if progress is not None:
                 progress(now, sum(len(r.finished) for r in fleet.live))
         result = fleet.finalize()
-        merged = result.merged
-        failed = result.faults.failed_count \
-            if result.faults is not None else 0
-        accounted = len(merged.finished) + len(merged.unfinished) + failed
-        if accounted != events.pulled:
+        failed = result.faults.failed_count if result.faults else 0
+        missing = events.pulled - failed - len(result.merged.finished) \
+            - len(result.merged.unfinished)
+        if missing:
             raise RuntimeError(
-                f"request conservation violated: {events.pulled} arrived "
-                f"but {len(merged.finished)} finished + "
-                f"{len(merged.unfinished)} unfinished + {failed} failed = "
-                f"{accounted} ({events.pulled - accounted:+d} missing)")
+                f"request conservation violated: {missing} of the "
+                f"{events.pulled} arrived requests are neither finished, "
+                f"unfinished nor failed")
         return result
 
 

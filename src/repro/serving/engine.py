@@ -22,6 +22,10 @@ changing a single result bit:
   only the Python-loop overhead disappears.  Construct the engine with
   ``fast_forward=False`` to force the reference one-iteration-at-a-time
   loop (the parity suite compares the two bit-for-bit).
+
+The iteration body lives in one place, :meth:`EndpointSim.step_until`:
+:meth:`ServingEngine.run` drives it to the horizon, and the cluster
+engine drives one per replica between routing events.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.serving.prefix_cache import (
     PrefixCacheStats,
 )
 from repro.serving.request import Request, RequestState
-from repro.serving.stream import RequestStream, as_stream
+from repro.serving.stream import RequestStream, in_arrival_order
 from repro.serving.scheduler import (
     ContinuousBatchingScheduler,
     IterationPlan,
@@ -403,13 +407,12 @@ class EndpointSim:
         burst = engine.fast_forward and factor is None
         scale = 1.0 if factor is None else factor
         now = self.now
-        aborted = False
         while now < limit:
             while pending and pending[0].arrival_time <= now:
                 scheduler.enqueue(pending.popleft())
             if observe is not None and observe(now):
-                aborted = True
-                break
+                self.now = now
+                return True
             plan = scheduler.plan_iteration()
             if not plan.has_work:
                 if not pending:
@@ -449,7 +452,7 @@ class EndpointSim:
                 plan.finished_decodes = finished_now
             scheduler.complete_iteration(plan)
         self.now = now
-        return aborted
+        return False
 
     def in_flight(self) -> list[Request]:
         """Every request routed here that has not finished, in the
@@ -568,12 +571,9 @@ class ServingEngine:
         caller (see ``repro.perf.scale.ProgressReporter``) so the engine
         itself stays deterministic.
         """
-        if isinstance(requests, RequestStream):
-            pending = requests
-        elif isinstance(requests, (list, tuple)):
-            pending = deque(sorted(requests, key=lambda r: r.arrival_time))
-        else:
-            pending = as_stream(requests)
+        arrivals = in_arrival_order(requests)
+        pending = arrivals if isinstance(arrivals, RequestStream) \
+            else deque(arrivals)
         if sink is not None and monitor is not None:
             raise ValueError(
                 "a finished-request sink cannot be combined with an "

@@ -107,3 +107,24 @@ def as_stream(requests: Iterable[Request]) -> RequestStream:
     if isinstance(requests, RequestStream):
         return requests
     return RequestStream(requests)
+
+
+def in_arrival_order(requests):
+    """The arrival stream in time order, for either engine to consume.
+
+    Lists and tuples are scanned once and returned as-is when already
+    sorted (repeat runs over one stream skip the re-sort), sorted into a
+    copy otherwise.  A :class:`RequestStream` — or any other lazy
+    iterable, which gets wrapped into one — must *not* be materialized
+    or re-sorted here: the stream checks monotonicity online as each
+    request is pulled and raises :class:`OutOfOrderArrival` naming the
+    offending timestamp the moment a producer emits out of order.
+    """
+    if not isinstance(requests, (list, tuple)):
+        return as_stream(requests)
+    previous = None
+    for request in requests:
+        if previous is not None and request.arrival_time < previous:
+            return sorted(requests, key=lambda r: r.arrival_time)
+        previous = request.arrival_time
+    return requests

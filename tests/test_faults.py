@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import (
     AutoscaleSpec,
     DeploymentSpec,
+    EndpointOverloaded,
     FaultEvent,
     FaultSpec,
     WorkloadSpec,
@@ -452,6 +453,20 @@ class TestFacade:
         text = report.summary()
         assert "goodput" in text
         assert "crash" in text
+
+    def test_whole_fleet_down_names_the_faults(self):
+        # both replicas crash at t=0 and stay down past the horizon:
+        # every request fails, and the error must blame the crashes,
+        # not the fleet's capacity
+        spec = FaultSpec(restart_delay_s=100.0, events=(
+            FaultEvent(kind="crash", replica_id=0, time_s=0.0),
+            FaultEvent(kind="crash", replica_id=1, time_s=0.0)))
+        with pytest.raises(EndpointOverloaded,
+                           match=r"2 crash\(es\), 20 failed") as info:
+            simulate(DeploymentSpec(replicas=2, faults=spec),
+                     WorkloadSpec(rate_per_s=5.0, num_requests=20, seed=7),
+                     max_sim_seconds=60.0)
+        assert "cannot sustain" not in str(info.value)
 
     def test_find_capacity_rejects_enabled_faults(self):
         with pytest.raises(ValueError, match="fault"):

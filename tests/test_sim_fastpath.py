@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import DeploymentSpec, WorkloadSpec, simulate
 from repro.api.facade import _device_for
-from repro.cluster.engine import ClusterEngine, _sorted_by_arrival
+from repro.cluster.engine import ClusterEngine
 from repro.core.scheduling import AdorDeviceModel
 from repro.hardware.presets import ador_table3
 from repro.hardware.registry import get_chip
@@ -32,6 +32,7 @@ from repro.serving.generator import (
 from repro.serving.qos import compute_qos
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
+from repro.serving.stream import in_arrival_order
 
 #: one registry chip per ChipKind
 CHIPS = ("ador", "a100", "tpuv4", "tsp")
@@ -301,12 +302,12 @@ class TestFastForwardInterruption:
 class TestClusterBookkeeping:
     def test_sorted_stream_is_not_copied(self):
         requests = steady_requests()
-        assert _sorted_by_arrival(requests) is requests
+        assert in_arrival_order(requests) is requests
 
     def test_unsorted_stream_is_sorted(self):
         requests = steady_requests()
         shuffled = list(reversed(requests))
-        ordered = _sorted_by_arrival(shuffled)
+        ordered = in_arrival_order(shuffled)
         assert ordered is not shuffled
         assert [r.request_id for r in ordered] \
             == [r.request_id for r in requests]
