@@ -1,17 +1,19 @@
 """Whole-model operator graphs for the prefill and decoding stages.
 
-The graphs are ``networkx.DiGraph`` instances whose nodes carry
-:class:`~repro.models.layers.Operator` payloads and whose edges encode
-data dependencies.  The compiler (:mod:`repro.compiler`) lowers these
-graphs to instruction streams; the analytical models usually only need
-the flattened operator list (:func:`flatten`).
+A transformer forward pass is a linear chain — embedding, then every
+decoder layer's operators, then (in decode) the LM head — so an
+:class:`OperatorGraph` stores just the :class:`~repro.models.layers.Operator`
+payloads in execution order; each node depends on the one before it.
+The analytical aggregates here (:func:`total_flops`,
+:func:`operation_share`) walk that chain.  The compiler
+(:mod:`repro.compiler`) does not read these graphs: it builds its
+instruction streams from :func:`~repro.models.layers.decoder_layer_operators`
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.models.config import ModelConfig
 from repro.models.layers import (
@@ -23,19 +25,26 @@ from repro.models.layers import (
     lm_head_operator,
 )
 
-OPERATOR_KEY = "operator"
+
+@dataclass(frozen=True)
+class OperatorGraph:
+    """A model's operators for one phase, as a chain in execution order.
+
+    ``tokens`` is the sequence length in prefill and the cached context
+    length in decode.  ``nodes`` pairs a unique ``"<block>.<index>.<name>"``
+    id (``embed``, ``layer0`` ... ``layer{N-1}``, ``head``) with its operator.
+    """
+
+    phase: Phase
+    model: str
+    batch: int
+    tokens: int
+    nodes: tuple[tuple[str, Operator], ...]
 
 
-def _chain(graph: nx.DiGraph, ops: list[Operator], prefix: str,
-           previous: str | None) -> str | None:
-    """Append ``ops`` as a linear chain of nodes; return the tail node id."""
-    for index, op in enumerate(ops):
-        node_id = f"{prefix}.{index}.{op.name}"
-        graph.add_node(node_id, **{OPERATOR_KEY: op})
-        if previous is not None:
-            graph.add_edge(previous, node_id)
-        previous = node_id
-    return previous
+def _chain(ops: list[Operator], prefix: str) -> list[tuple[str, Operator]]:
+    """Name ``ops`` as consecutive nodes of block ``prefix``."""
+    return [(f"{prefix}.{index}.{op.name}", op) for index, op in enumerate(ops)]
 
 
 def build_prefill_graph(
@@ -43,7 +52,7 @@ def build_prefill_graph(
     batch: int,
     seq_len: int,
     include_lm_head: bool = False,
-) -> nx.DiGraph:
+) -> OperatorGraph:
     """Operator graph for prefilling ``batch`` requests of ``seq_len`` tokens.
 
     All ``seq_len`` tokens are processed in parallel, so GEMM ``m`` is
@@ -52,50 +61,44 @@ def build_prefill_graph(
     "is only involved in the decoding stage"); enable ``include_lm_head``
     for the first generated token's logits.
     """
-    graph = nx.DiGraph(phase=Phase.PREFILL, model=config.name,
-                       batch=batch, seq_len=seq_len)
-    tail = _chain(graph, [embedding_operator(config, Phase.PREFILL, batch * seq_len)],
-                  "embed", None)
+    nodes = _chain([embedding_operator(config, Phase.PREFILL, batch * seq_len)], "embed")
     for layer in range(config.num_layers):
         ops = decoder_layer_operators(config, Phase.PREFILL, batch, seq_len, seq_len)
-        tail = _chain(graph, ops, f"layer{layer}", tail)
+        nodes += _chain(ops, f"layer{layer}")
     if include_lm_head:
-        _chain(graph, [lm_head_operator(config, Phase.PREFILL, batch)], "head", tail)
-    return graph
+        nodes += _chain([lm_head_operator(config, Phase.PREFILL, batch)], "head")
+    return OperatorGraph(Phase.PREFILL, config.name, batch, seq_len, tuple(nodes))
 
 
 def build_decode_graph(
     config: ModelConfig,
     batch: int,
     context_len: int,
-) -> nx.DiGraph:
+) -> OperatorGraph:
     """Operator graph for one decode step of ``batch`` requests.
 
     Each request generates one token while attending to ``context_len``
     cached tokens; GEMMs have ``m == batch`` and the LM head always runs.
     """
-    graph = nx.DiGraph(phase=Phase.DECODE, model=config.name,
-                       batch=batch, context_len=context_len)
-    tail = _chain(graph, [embedding_operator(config, Phase.DECODE, batch)],
-                  "embed", None)
+    nodes = _chain([embedding_operator(config, Phase.DECODE, batch)], "embed")
     for layer in range(config.num_layers):
         ops = decoder_layer_operators(config, Phase.DECODE, batch, 1, context_len)
-        tail = _chain(graph, ops, f"layer{layer}", tail)
-    _chain(graph, [lm_head_operator(config, Phase.DECODE, batch)], "head", tail)
-    return graph
+        nodes += _chain(ops, f"layer{layer}")
+    nodes += _chain([lm_head_operator(config, Phase.DECODE, batch)], "head")
+    return OperatorGraph(Phase.DECODE, config.name, batch, context_len, tuple(nodes))
 
 
-def flatten(graph: nx.DiGraph) -> list[Operator]:
-    """Operators in topological (execution) order."""
-    return [graph.nodes[node][OPERATOR_KEY] for node in nx.topological_sort(graph)]
+def flatten(graph: OperatorGraph) -> list[Operator]:
+    """Operators in execution order."""
+    return [op for _, op in graph.nodes]
 
 
-def total_flops(graph: nx.DiGraph) -> float:
+def total_flops(graph: OperatorGraph) -> float:
     """Sum of FLOPs over the whole graph."""
     return sum(op.flops for op in flatten(graph))
 
 
-def total_weight_bytes(graph: nx.DiGraph) -> float:
+def total_weight_bytes(graph: OperatorGraph) -> float:
     """Sum of weight bytes streamed (counts each layer's weights once)."""
     return sum(op.weight_bytes for op in flatten(graph))
 

@@ -11,7 +11,7 @@ from repro.compiler.instructions import (
     stream_summary,
 )
 from repro.hardware.presets import ador_table3
-from repro.models.graph import build_decode_graph
+from repro.models.graph import build_decode_graph, flatten
 from repro.models.layers import Phase
 from repro.models.zoo import get_model
 
@@ -94,8 +94,7 @@ class TestInstructionGenerator:
                        if i.opcode in (Opcode.GEMV, Opcode.GEMM, Opcode.ATTN))
         graph = build_decode_graph(llama3, 8, 512)
         graph_flops = sum(
-            op.flops for op in
-            [graph.nodes[n]["operator"] for n in graph.nodes]
+            op.flops for op in flatten(graph)
             if op.kind.value in ("gemm", "attention"))
         assert compiled == pytest.approx(graph_flops, rel=0.02)
 
