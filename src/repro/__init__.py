@@ -44,41 +44,80 @@ Lower-level building blocks stay importable for custom studies::
     step = device.decode_step_time(get_model("llama3-8b"), batch=128,
                                    context_len=1024)
     print(f"TBT: {step.seconds * 1e3:.2f} ms")
+
+Every package of ``repro`` exports its public names lazily (PEP 562):
+importing a package loads none of its submodules, and a name's
+defining module loads on the first access to it.  A process therefore
+loads only the modules its run executes.
 """
+
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import Callable, Iterable, Mapping
 
 __version__ = "1.1.0"
 
-from repro.models import get_model, list_models
-from repro.core import AdorSearch, device_model_for
-from repro.hardware.presets import ador_table3
-from repro.hardware.registry import get_chip, list_chips, register_chip
-from repro.api import (
-    DeploymentSpec,
-    Experiment,
-    ServingReport,
-    WorkloadSpec,
-    load_experiment,
-    run_experiment,
-    save_experiment,
-    simulate,
-)
 
-__all__ = [
-    "__version__",
-    "get_model",
-    "list_models",
-    "AdorSearch",
-    "device_model_for",
-    "ador_table3",
-    "get_chip",
-    "list_chips",
-    "register_chip",
-    "DeploymentSpec",
-    "WorkloadSpec",
-    "Experiment",
-    "ServingReport",
-    "simulate",
-    "load_experiment",
-    "save_experiment",
-    "run_experiment",
-]
+def _submodule(package: str, name: str) -> object:
+    """``package.name`` as an attribute: the submodule, imported on
+    access as an eagerly importing package would have had it loaded."""
+    qualified = f"{package}.{name}"
+    if not name.startswith("__"):
+        try:
+            return importlib.import_module(qualified)
+        except ModuleNotFoundError as exc:
+            if exc.name != qualified:
+                raise
+    raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+
+def lazy_exports(
+    package: str, table: Mapping[str, Iterable[str]],
+) -> tuple[list[str], Callable[[str], object], Callable[[], list[str]]]:
+    """``__all__``, ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``table`` maps each defining module to the names it exports through
+    the package.  A name resolves on first access by importing its
+    module, and is then cached in the package namespace.
+
+    A name that is also the name of its defining submodule (a function
+    ``sweep`` in ``package.sweep``) is bound eagerly: the import system
+    sets the package attribute to the submodule whenever that submodule
+    first loads, so a lazy binding would turn the exported function
+    into a module as soon as any code imported the submodule.
+    """
+    namespace = sys.modules[package].__dict__
+    source = {name: module for module, names in table.items()
+              for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = source.get(name)
+        if module is None:
+            return _submodule(package, name)
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | source.keys())
+
+    for name, module in source.items():
+        if module == f"{package}.{name}":
+            __getattr__(name)
+    return list(source), __getattr__, __dir__
+
+
+_EXPORTS = {
+    "repro.models.zoo": ("get_model", "list_models"),
+    "repro.core.search": ("AdorSearch",),
+    "repro.core.scheduling": ("device_model_for",),
+    "repro.hardware.presets": ("ador_table3",),
+    "repro.hardware.registry": ("get_chip", "list_chips", "register_chip"),
+    "repro.api.specs": ("DeploymentSpec", "WorkloadSpec", "Experiment"),
+    "repro.api.facade": ("ServingReport", "simulate", "load_experiment",
+                         "save_experiment", "run_experiment"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__.insert(0, "__version__")

@@ -1,25 +1,14 @@
 """Analysis helpers: metrics, table formatting and parameter sweeps."""
 
-from repro.analysis.metrics import (
-    area_efficiency_gflops_mm2,
-    normalized_area_efficiency,
-    qos_gain,
-)
-from repro.analysis.pareto import (
-    dominates,
-    normalized_distance_to_utopia,
-    pareto_frontier,
-)
-from repro.analysis.tables import format_table
-from repro.analysis.sweep import sweep
+from repro import lazy_exports
 
-__all__ = [
-    "area_efficiency_gflops_mm2",
-    "normalized_area_efficiency",
-    "qos_gain",
-    "dominates",
-    "normalized_distance_to_utopia",
-    "pareto_frontier",
-    "format_table",
-    "sweep",
-]
+_EXPORTS = {
+    "repro.analysis.metrics": (
+        "area_efficiency_gflops_mm2", "normalized_area_efficiency",
+        "qos_gain"),
+    "repro.analysis.pareto": (
+        "dominates", "normalized_distance_to_utopia", "pareto_frontier"),
+    "repro.analysis.tables": ("format_table",),
+    "repro.analysis.sweep": ("sweep",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,113 +28,36 @@ probed capability), and :func:`find_fleet_capacity` searches the
 cheapest group mix meeting an SLO at a fixed demand.
 """
 
-from repro.api.facade import (
-    CapacityReport,
-    ClusterReport,
-    EndpointOverloaded,
-    FleetCapacityReport,
-    ServingReport,
-    build_cluster_engine,
-    find_capacity,
-    find_fleet_capacity,
-    load_experiment,
-    run_experiment,
-    save_experiment,
-    simulate,
-    simulate_cluster,
-)
-from repro.cluster.autoscaler import (
-    AutoscaleSpec,
-    get_autoscaler,
-    list_autoscalers,
-    register_autoscaler,
-)
-from repro.cluster.faults import FaultEvent, FaultSpec, FaultTrace
-from repro.cluster.router import get_router, list_routers, register_router
-from repro.api.specs import (
-    CapacitySpec,
-    DeploymentSpec,
-    Experiment,
-    FleetSpec,
-    ReplicaGroupSpec,
-    WorkloadSpec,
-    chip_from_dict,
-    chip_to_dict,
-)
-from repro.cluster.report import GroupBreakdown
-from repro.core.scheduling import device_model_for
-# after specs/facade above: perf.scale imports repro.api.specs, which is
-# already initialized by this point, so the import order is cycle-free
-from repro.perf.scale import (
-    ProgressReporter,
-    ShardPool,
-    StreamStats,
-    run_sharded_cluster,
-)
-from repro.hardware.registry import get_chip, list_chips, register_chip
-from repro.models.zoo import get_model, list_models
-from repro.serving.policies import get_policy, list_policies, register_policy
-from repro.serving.prefix_cache import (
-    PrefixCacheSpec,
-    get_eviction_policy,
-    list_eviction_policies,
-    register_eviction_policy,
-)
-from repro.serving.sessions import SessionConfig
-from repro.serving.traces import get_trace, list_traces, register_trace
+from repro import lazy_exports
 
-__all__ = [
-    "DeploymentSpec",
-    "WorkloadSpec",
-    "Experiment",
-    "CapacitySpec",
-    "FleetSpec",
-    "ReplicaGroupSpec",
-    "ServingReport",
-    "ClusterReport",
-    "CapacityReport",
-    "FleetCapacityReport",
-    "GroupBreakdown",
-    "EndpointOverloaded",
-    "simulate",
-    "simulate_cluster",
-    "build_cluster_engine",
-    "find_capacity",
-    "find_fleet_capacity",
-    "get_router",
-    "list_routers",
-    "register_router",
-    "AutoscaleSpec",
-    "get_autoscaler",
-    "list_autoscalers",
-    "register_autoscaler",
-    "FaultSpec",
-    "FaultEvent",
-    "FaultTrace",
-    "PrefixCacheSpec",
-    "SessionConfig",
-    "get_eviction_policy",
-    "list_eviction_policies",
-    "register_eviction_policy",
-    "load_experiment",
-    "save_experiment",
-    "run_experiment",
-    "chip_to_dict",
-    "chip_from_dict",
-    "get_chip",
-    "list_chips",
-    "register_chip",
-    "get_trace",
-    "list_traces",
-    "register_trace",
-    "get_policy",
-    "list_policies",
-    "register_policy",
-    "get_model",
-    "list_models",
-    "device_model_for",
-    "run_sharded_cluster",
-    "ShardPool",
-    "StreamStats",
-    "ProgressReporter",
-]
+_EXPORTS = {
+    "repro.api.specs": (
+        "DeploymentSpec", "WorkloadSpec", "Experiment", "CapacitySpec",
+        "FleetSpec", "ReplicaGroupSpec", "chip_to_dict", "chip_from_dict"),
+    "repro.api.facade": (
+        "ServingReport", "ClusterReport", "CapacityReport",
+        "FleetCapacityReport", "EndpointOverloaded", "simulate",
+        "simulate_cluster", "build_cluster_engine", "find_capacity",
+        "find_fleet_capacity", "load_experiment", "save_experiment",
+        "run_experiment"),
+    "repro.cluster.report": ("GroupBreakdown",),
+    "repro.cluster.router": ("get_router", "list_routers", "register_router"),
+    "repro.cluster.autoscaler": (
+        "AutoscaleSpec", "get_autoscaler", "list_autoscalers",
+        "register_autoscaler"),
+    "repro.cluster.faults": ("FaultSpec", "FaultEvent", "FaultTrace"),
+    "repro.serving.prefix_cache": (
+        "PrefixCacheSpec", "get_eviction_policy", "list_eviction_policies",
+        "register_eviction_policy"),
+    "repro.serving.sessions": ("SessionConfig",),
+    "repro.hardware.registry": ("get_chip", "list_chips", "register_chip"),
+    "repro.serving.traces": ("get_trace", "list_traces", "register_trace"),
+    "repro.serving.policies": (
+        "get_policy", "list_policies", "register_policy"),
+    "repro.models.zoo": ("get_model", "list_models"),
+    "repro.core.scheduling": ("device_model_for",),
+    "repro.perf.scale": (
+        "run_sharded_cluster", "ShardPool", "StreamStats",
+        "ProgressReporter"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

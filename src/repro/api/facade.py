@@ -21,6 +21,7 @@ import dataclasses
 import json
 import pathlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.api.specs import (
     CapacitySpec,
@@ -28,18 +29,17 @@ from repro.api.specs import (
     Experiment,
     WorkloadSpec,
 )
-from repro.cluster.engine import ClusterEngine
-from repro.cluster.report import ClusterResult, LoadImbalanceStats
-from repro.core.scheduling import device_model_for
-from repro.hardware.chip import ChipSpec
-from repro.models.config import ModelConfig
 from repro.models.zoo import get_model
-from repro.perf.cache import CachedDeviceModel
-from repro.serving.capacity import CapacityResult, FleetCapacityResult
-from repro.serving.engine import SimulationResult
-from repro.serving.policies import get_policy
-from repro.serving.qos import QoSReport, compute_qos, goodput_per_s
-from repro.serving.utilization import UtilizationReport, utilization_report
+
+if TYPE_CHECKING:  # pragma: no cover - each run path loads its modules
+    from repro.cluster.engine import ClusterEngine
+    from repro.cluster.report import ClusterResult, LoadImbalanceStats
+    from repro.hardware.chip import ChipSpec
+    from repro.models.config import ModelConfig
+    from repro.serving.capacity import CapacityResult, FleetCapacityResult
+    from repro.serving.engine import SimulationResult
+    from repro.serving.qos import QoSReport
+    from repro.serving.utilization import UtilizationReport
 
 
 class EndpointOverloaded(RuntimeError):
@@ -83,7 +83,9 @@ def _device_for(chip: ChipSpec, sim_cache: bool,
                 context_bucket: int):
     """The device model for one run: fast path (memoized + compiled
     decode plans) or the uncompiled reference implementation."""
+    from repro.core.scheduling import device_model_for
     from repro.hardware.chip import ChipKind
+    from repro.perf.cache import CachedDeviceModel
 
     if not sim_cache:
         if context_bucket != 1:
@@ -113,6 +115,8 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
     the mixed-fleet capacity search, so every path sizes a fleet the
     same way.
     """
+    from repro.cluster.engine import ClusterEngine, EngineGroup
+
     if deployment.fleet is None:
         device = _device_for(deployment.chip_spec(), sim_cache,
                              context_bucket)
@@ -127,8 +131,6 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
             prefix_cache=deployment.prefix_cache,
             faults=deployment.faults,
         )
-    from repro.cluster.engine import EngineGroup
-
     groups = []
     for index, group in enumerate(deployment.fleet.groups):
         chip = group.chip_spec()
@@ -238,6 +240,10 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     if shards != 1:
         raise ValueError(
             "shards apply to multi-replica cluster deployments only")
+    from repro.serving.policies import get_policy
+    from repro.serving.qos import compute_qos
+    from repro.serving.utilization import utilization_report
+
     chip = deployment.chip_spec()
     model = get_model(deployment.model)
     device = _device_for(chip, sim_cache, context_bucket)
@@ -649,6 +655,8 @@ class ClusterReport:
             ]
         faults = self.cluster.faults
         if faults is not None:
+            from repro.serving.qos import goodput_per_s
+
             fault_spec = self.deployment.faults
             goodput = goodput_per_s(self.result.finished,
                                     self.result.total_time_s,

@@ -18,11 +18,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
+if TYPE_CHECKING:  # pragma: no cover - feature modules load on use
+    from repro.cluster.autoscaler import AutoscaleSpec
+    from repro.cluster.faults import FaultSpec
+    from repro.serving.prefix_cache import PrefixCacheSpec
+    from repro.serving.request import Request
+    from repro.serving.sessions import SessionConfig
     from repro.serving.stream import RequestStream
 
-from repro.cluster.autoscaler import AutoscaleSpec
-from repro.cluster.faults import FaultSpec
 from repro.hardware.chip import ChipKind, ChipSpec
 from repro.hardware.components import MacTree, SystolicArray, VectorUnit
 from repro.hardware.interconnect import NocSpec, NocTopology, P2pSpec
@@ -30,10 +33,7 @@ from repro.hardware.memory import Dram, DramKind, Sram
 from repro.hardware.registry import get_chip
 from repro.hardware.technology import ProcessNode
 from repro.serving.dataset import ChatTraceConfig
-from repro.serving.request import Request
-from repro.serving.prefix_cache import PrefixCacheSpec
 from repro.serving.scheduler import SchedulerLimits
-from repro.serving.sessions import SessionConfig
 from repro.serving.traces import get_trace
 
 _PROCESS_BY_LABEL = {node.label: node for node in ProcessNode}
@@ -226,7 +226,10 @@ class WorkloadSpec:
 
         rng = np.random.default_rng(self.seed)
         if self.arrival == "sessions":
-            from repro.serving.sessions import MultiTurnSessionGenerator
+            from repro.serving.sessions import (
+                MultiTurnSessionGenerator,
+                SessionConfig,
+            )
 
             generator = MultiTurnSessionGenerator(
                 self.session if self.session is not None
@@ -249,7 +252,10 @@ class WorkloadSpec:
         :mod:`repro.serving.generator`).
         """
         if self.arrival == "sessions":
-            from repro.serving.sessions import iter_session_requests
+            from repro.serving.sessions import (
+                SessionConfig,
+                iter_session_requests,
+            )
 
             return iter_session_requests(
                 self.session if self.session is not None
@@ -294,6 +300,8 @@ class WorkloadSpec:
             trace = ChatTraceConfig(**trace)
         session = data.get("session")
         if session is not None:
+            from repro.serving.sessions import SessionConfig
+
             _require_mapping(session, "workload session")
             _reject_unknown_keys(
                 session,
@@ -686,8 +694,20 @@ class DeploymentSpec:
         if isinstance(chip, dict):
             chip = chip_from_dict(chip)
         autoscale = data.get("autoscale")
+        if autoscale is not None:
+            from repro.cluster.autoscaler import AutoscaleSpec
+
+            autoscale = AutoscaleSpec.from_dict(autoscale)
         prefix_cache = data.get("prefix_cache")
+        if prefix_cache is not None:
+            from repro.serving.prefix_cache import PrefixCacheSpec
+
+            prefix_cache = PrefixCacheSpec.from_dict(prefix_cache)
         faults = data.get("faults")
+        if faults is not None:
+            from repro.cluster.faults import FaultSpec
+
+            faults = FaultSpec.from_dict(faults)
         fleet = data.get("fleet")
         return cls(
             chip=chip,
@@ -699,12 +719,9 @@ class DeploymentSpec:
             batching=data.get("batching", "continuous"),
             replicas=data.get("replicas", 1),
             router=data.get("router", "round-robin"),
-            autoscale=AutoscaleSpec.from_dict(autoscale)
-            if autoscale is not None else None,
-            prefix_cache=PrefixCacheSpec.from_dict(prefix_cache)
-            if prefix_cache is not None else None,
-            faults=FaultSpec.from_dict(faults)
-            if faults is not None else None,
+            autoscale=autoscale,
+            prefix_cache=prefix_cache,
+            faults=faults,
             fleet=FleetSpec.from_dict(fleet)
             if fleet is not None else None,
         )

@@ -12,6 +12,9 @@ Five subcommands cover the library's main entry points:
 
 Chips resolve by name through :mod:`repro.hardware.registry`, so presets
 registered by third-party code are addressable here without changes.
+
+Only the registries behind ``--help`` choice lists load with the
+module; each subcommand imports the machinery it runs.
 """
 
 from __future__ import annotations
@@ -19,15 +22,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
+from typing import TYPE_CHECKING
 
-from repro.analysis.tables import format_table
 from repro.api import (
     AutoscaleSpec,
     CapacitySpec,
     DeploymentSpec,
     EndpointOverloaded,
-    FaultSpec,
     FleetSpec,
     PrefixCacheSpec,
     ReplicaGroupSpec,
@@ -40,40 +41,17 @@ from repro.api import (
 from repro.cluster.autoscaler import list_autoscalers
 from repro.cluster.router import list_routers
 from repro.serving.prefix_cache import list_eviction_policies
-from repro.core.requirements import (
-    SearchRequest,
-    ServiceLevelObjectives,
-    VendorConstraints,
-)
-from repro.core.scheduling import device_model_for
-from repro.core.search import AdorSearch
-from repro.hardware.area import AreaModel
-from repro.hardware.power import PowerModel
-from repro.hardware.registry import CHIP_REGISTRY, get_chip, list_chips
+from repro.hardware.registry import list_chips
 from repro.models.zoo import get_model, list_models
-from repro.quality.lint import (
-    exit_code,
-    format_json,
-    format_text,
-    lint_paths,
-)
 from repro.quality.rules import all_rules, rule_tokens
-from repro.serving.capacity import EndpointUnservable
 
-
-def __getattr__(name: str):
-    # Deprecation shim: the old hard-coded preset table is now the chip
-    # registry; keep ``from repro.cli import CHIP_PRESETS`` importable.
-    if name == "CHIP_PRESETS":
-        warnings.warn(
-            "repro.cli.CHIP_PRESETS is deprecated; use "
-            "repro.hardware.registry.get_chip/list_chips instead",
-            DeprecationWarning, stacklevel=2)
-        return {chip: CHIP_REGISTRY.get(chip) for chip in list_chips()}
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+if TYPE_CHECKING:  # pragma: no cover - fault injection loads on use
+    from repro.cluster.faults import FaultSpec
 
 
 def _cmd_models(_args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
+
     rows = []
     for name in list_models():
         model = get_model(name)
@@ -92,6 +70,12 @@ def _cmd_models(_args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
+    from repro.core.scheduling import device_model_for
+    from repro.hardware.area import AreaModel
+    from repro.hardware.power import PowerModel
+    from repro.hardware.registry import get_chip
+
     model = get_model(args.model)
     chip = get_chip(args.chip)
     device = device_model_for(chip)
@@ -114,6 +98,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.core.requirements import (
+        SearchRequest,
+        ServiceLevelObjectives,
+        VendorConstraints,
+    )
+    from repro.core.search import AdorSearch
+    from repro.hardware.power import PowerModel
+
     request = SearchRequest(
         model_names=tuple(args.models),
         slos=ServiceLevelObjectives(
@@ -225,6 +217,8 @@ def _faults_spec(args: argparse.Namespace) -> FaultSpec | None:
                               if getattr(args, arg) is not None)
             raise ValueError(f"{flags} require(s) --faults")
         return None
+    from repro.cluster.faults import FaultSpec
+
     return FaultSpec(**overrides)
 
 
@@ -358,6 +352,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    from repro.serving.capacity import EndpointUnservable
+
     try:
         deployment = DeploymentSpec(
             chip=args.chip,
@@ -394,6 +390,8 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.serving.capacity import EndpointUnservable
+
     try:
         experiment = load_experiment(args.experiment)
         overrides = {}
@@ -437,6 +435,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.no_faults:
             overrides["faults"] = None
         elif args.faults:
+            from repro.cluster.faults import FaultSpec
+
             # turn injection on, keeping the experiment's fault knobs
             # when it already carries a (possibly disabled) spec
             base = experiment.deployment.faults
@@ -483,6 +483,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.quality.lint import (
+        exit_code,
+        format_json,
+        format_text,
+        lint_paths,
+    )
+
     try:
         violations = lint_paths(args.paths, rules=args.rule or None)
     except (FileNotFoundError, KeyError) as exc:

@@ -43,75 +43,23 @@ for an elastic fleet; :func:`repro.api.simulate` dispatches to
 or an autoscale spec is present.
 """
 
-from repro.cluster.autoscaler import (
-    AUTOSCALER_REGISTRY,
-    AutoscalerPolicy,
-    AutoscaleSpec,
-    FleetObservation,
-    get_autoscaler,
-    list_autoscalers,
-    make_autoscaler,
-    register_autoscaler,
-)
-from repro.cluster.engine import ClusterEngine, ReplicaSim
-from repro.cluster.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultRecord,
-    FaultSpec,
-    FaultTrace,
-    ReplicaFaultPlan,
-)
-from repro.cluster.report import (
-    AutoscaleTrace,
-    ClusterResult,
-    FleetSample,
-    LoadImbalanceStats,
-    ScaleEvent,
-    aggregate_cluster,
-    load_imbalance,
-    merge_results,
-)
-from repro.cluster.router import (
-    ROUTER_REGISTRY,
-    ReplicaSnapshot,
-    RouterPolicy,
-    get_router,
-    list_routers,
-    make_router,
-    register_router,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ClusterEngine",
-    "ReplicaSim",
-    "ClusterResult",
-    "LoadImbalanceStats",
-    "AutoscaleTrace",
-    "FleetSample",
-    "ScaleEvent",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultRecord",
-    "FaultSpec",
-    "FaultTrace",
-    "ReplicaFaultPlan",
-    "aggregate_cluster",
-    "load_imbalance",
-    "merge_results",
-    "ROUTER_REGISTRY",
-    "ReplicaSnapshot",
-    "RouterPolicy",
-    "get_router",
-    "list_routers",
-    "make_router",
-    "register_router",
-    "AUTOSCALER_REGISTRY",
-    "AutoscalerPolicy",
-    "AutoscaleSpec",
-    "FleetObservation",
-    "get_autoscaler",
-    "list_autoscalers",
-    "make_autoscaler",
-    "register_autoscaler",
-]
+_EXPORTS = {
+    "repro.cluster.engine": ("ClusterEngine", "ReplicaSim"),
+    "repro.cluster.report": (
+        "ClusterResult", "LoadImbalanceStats", "AutoscaleTrace",
+        "FleetSample", "ScaleEvent", "aggregate_cluster", "load_imbalance",
+        "merge_results"),
+    "repro.cluster.faults": (
+        "FaultEvent", "FaultInjector", "FaultRecord", "FaultSpec",
+        "FaultTrace", "ReplicaFaultPlan"),
+    "repro.cluster.router": (
+        "ROUTER_REGISTRY", "ReplicaSnapshot", "RouterPolicy", "get_router",
+        "list_routers", "make_router", "register_router"),
+    "repro.cluster.autoscaler": (
+        "AUTOSCALER_REGISTRY", "AutoscalerPolicy", "AutoscaleSpec",
+        "FleetObservation", "get_autoscaler", "list_autoscalers",
+        "make_autoscaler", "register_autoscaler"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -42,14 +42,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from typing import TYPE_CHECKING
 
-from repro.cluster.autoscaler import (
-    AutoscalerPolicy,
-    AutoscaleSpec,
-    FleetObservation,
-    make_autoscaler,
-)
-from repro.cluster.faults import FaultInjector, FaultSpec, ReplicaFaultPlan
 from repro.cluster.report import (
     AutoscaleTrace,
     ClusterResult,
@@ -66,6 +60,18 @@ from repro.serving.engine import EndpointSim, ServingEngine, SimulationResult
 from repro.serving.request import Request
 from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
 from repro.serving.stream import in_arrival_order
+
+if TYPE_CHECKING:  # pragma: no cover - feature modules load on use
+    from repro.cluster.autoscaler import (
+        AutoscalerPolicy,
+        AutoscaleSpec,
+        FleetObservation,
+    )
+    from repro.cluster.faults import (
+        FaultInjector,
+        FaultSpec,
+        ReplicaFaultPlan,
+    )
 
 
 class ReplicaSim(EndpointSim):
@@ -350,9 +356,12 @@ class ClusterEngine:
         if autoscaler is not None and autoscale is None:
             raise ValueError("autoscaler instance given without an "
                              "AutoscaleSpec")
-        if faults is not None and not isinstance(faults, FaultSpec):
-            raise ValueError(
-                f"faults must be a FaultSpec or None, got {faults!r}")
+        if faults is not None:
+            from repro.cluster.faults import FaultSpec
+
+            if not isinstance(faults, FaultSpec):
+                raise ValueError(
+                    f"faults must be a FaultSpec or None, got {faults!r}")
         self.device = device
         self.model = model
         self.limits = limits
@@ -373,6 +382,8 @@ class ClusterEngine:
             self._probe_capabilities()
         make_router(router)  # fail on unknown names at construction
         if autoscale is not None and autoscaler is None:
+            from repro.cluster.autoscaler import make_autoscaler
+
             make_autoscaler(autoscale.policy)
 
     @classmethod
@@ -449,9 +460,12 @@ class ClusterEngine:
         faults = self.faults \
             if self.faults is not None and self.faults.enabled else None
         events = _Events(in_arrival_order(requests))
-        fleet = _Fleet(self, events, max_sim_seconds,
-                       FaultInjector(faults, max_sim_seconds)
-                       if faults is not None else None)
+        injector = None
+        if faults is not None:
+            from repro.cluster.faults import FaultInjector
+
+            injector = FaultInjector(faults, max_sim_seconds)
+        fleet = _Fleet(self, events, max_sim_seconds, injector)
         last = 0.0
         while True:
             event = events.pop()
@@ -595,6 +609,8 @@ class _Fleet:
         self.interval = self.next_decision = math.inf
         self.decisions_end = -math.inf
         if self.spec is not None:
+            from repro.cluster.autoscaler import make_autoscaler
+
             self.policy = engine.autoscaler if engine.autoscaler \
                 is not None else make_autoscaler(self.spec.policy)
             self.interval = self.next_decision = \
@@ -785,6 +801,8 @@ class _Fleet:
     def _decide(self) -> None:
         """Run the decision due at ``next_decision`` and schedule the
         next one."""
+        from repro.cluster.autoscaler import FleetObservation
+
         now = self.next_decision
         self.next_decision += self.interval
         spec = self.spec

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.cluster.faults import FaultTrace
 from repro.serving.engine import SimulationResult
-from repro.serving.prefix_cache import PrefixCacheStats
 from repro.serving.qos import QoSReport, compute_qos
+
+if TYPE_CHECKING:  # pragma: no cover - feature modules load on use
+    from repro.cluster.faults import FaultTrace
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,11 @@ def merge_results(replica_results: Sequence[SimulationResult]
         raise ValueError("need at least one replica result")
     cache_stats = [r.prefix_cache for r in replica_results
                    if r.prefix_cache is not None]
+    merged_cache = None
+    if cache_stats:
+        from repro.serving.prefix_cache import PrefixCacheStats
+
+        merged_cache = PrefixCacheStats.merged(cache_stats)
     return SimulationResult(
         finished=[r for result in replica_results for r in result.finished],
         unfinished=[r for result in replica_results
@@ -140,8 +146,7 @@ def merge_results(replica_results: Sequence[SimulationResult]
         busy_time_s=sum(r.busy_time_s for r in replica_results),
         decode_time_s=sum(r.decode_time_s for r in replica_results),
         prefill_time_s=sum(r.prefill_time_s for r in replica_results),
-        prefix_cache=PrefixCacheStats.merged(cache_stats)
-        if cache_stats else None,
+        prefix_cache=merged_cache,
     )
 
 

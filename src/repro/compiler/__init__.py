@@ -6,17 +6,12 @@ layout across DRAM modules) and an *instruction binary* (a stream of
 LOAD / GEMM / GEMV / ATTN / VOP / SYNC / COMM instructions per device).
 """
 
-from repro.compiler.instructions import Instruction, Opcode, TargetUnit
-from repro.compiler.binary import MemoryRegion, ModelBinary, build_model_binary
-from repro.compiler.generator import CompiledProgram, InstructionGenerator
+from repro import lazy_exports
 
-__all__ = [
-    "Instruction",
-    "Opcode",
-    "TargetUnit",
-    "MemoryRegion",
-    "ModelBinary",
-    "build_model_binary",
-    "CompiledProgram",
-    "InstructionGenerator",
-]
+_EXPORTS = {
+    "repro.compiler.instructions": ("Instruction", "Opcode", "TargetUnit"),
+    "repro.compiler.binary": (
+        "MemoryRegion", "ModelBinary", "build_model_binary"),
+    "repro.compiler.generator": ("CompiledProgram", "InstructionGenerator"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,32 +9,17 @@ estimates every experiment consumes; the search
 Fig. 9 and emits the Table III design.
 """
 
-from repro.core.requirements import ServiceLevelObjectives, VendorConstraints
-from repro.core.template import AdorTemplate, TemplateKnobs
-from repro.core.dataflow import DataflowKind, MultiCoreDataflow
-from repro.core.allocation import GemmSplit, split_gemm_work
-from repro.core.scheduling import (
-    AdorDeviceModel,
-    HdaScheduler,
-    device_model_for,
-)
-from repro.core.design_point import DesignEvaluation, DesignPoint
-from repro.core.search import AdorSearch, SearchResult
+from repro import lazy_exports
 
-__all__ = [
-    "ServiceLevelObjectives",
-    "VendorConstraints",
-    "AdorTemplate",
-    "TemplateKnobs",
-    "DataflowKind",
-    "MultiCoreDataflow",
-    "GemmSplit",
-    "split_gemm_work",
-    "AdorDeviceModel",
-    "HdaScheduler",
-    "device_model_for",
-    "DesignEvaluation",
-    "DesignPoint",
-    "AdorSearch",
-    "SearchResult",
-]
+_EXPORTS = {
+    "repro.core.requirements": (
+        "ServiceLevelObjectives", "VendorConstraints"),
+    "repro.core.template": ("AdorTemplate", "TemplateKnobs"),
+    "repro.core.dataflow": ("DataflowKind", "MultiCoreDataflow"),
+    "repro.core.allocation": ("GemmSplit", "split_gemm_work"),
+    "repro.core.scheduling": (
+        "AdorDeviceModel", "HdaScheduler", "device_model_for"),
+    "repro.core.design_point": ("DesignEvaluation", "DesignPoint"),
+    "repro.core.search": ("AdorSearch", "SearchResult"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

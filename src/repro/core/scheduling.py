@@ -34,8 +34,6 @@ from repro.models.layers import (
     decoder_layer_operators,
     lm_head_operator,
 )
-from repro.parallel.collectives import layer_sync_plan, visible_collective_time
-from repro.parallel.mapper import ModelParallelMapper
 from repro.perf.baselines import BaselineBreakdown, DeviceModel, baseline_for
 from repro.perf.effective_bandwidth import MT_BANDWIDTH_CURVE
 from repro.perf.mac_tree import MacTreeTimingModel
@@ -349,6 +347,12 @@ class HdaScheduler:
                          body_seconds: float, overlap_capacity: float) -> float:
         if devices <= 1:
             return 0.0
+        from repro.parallel.collectives import (
+            layer_sync_plan,
+            visible_collective_time,
+        )
+        from repro.parallel.mapper import ModelParallelMapper
+
         method = ModelParallelMapper(model).choose_sync_method(devices)
         tensor_bytes = rows * model.hidden_size * model.dtype_bytes
         plan = layer_sync_plan(method, tensor_bytes, devices)

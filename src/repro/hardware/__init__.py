@@ -6,57 +6,21 @@ evaluates (Table I) and every design it proposes or compares against
 (Table III).
 """
 
-from repro.hardware.technology import ProcessNode, area_scaling_factor, normalize_area
-from repro.hardware.components import MacTree, SystolicArray, VectorUnit
-from repro.hardware.memory import Dram, DramKind, Sram
-from repro.hardware.interconnect import NocSpec, P2pSpec
-from repro.hardware.chip import ChipSpec
-from repro.hardware.area import AreaBreakdown, AreaModel
-from repro.hardware.power import EnergyBreakdown, PowerModel
-from repro.hardware.presets import (
-    a100,
-    ader_reference_designs,
-    ador_table3,
-    groq_tsp,
-    h100,
-    llmcompass_latency,
-    llmcompass_throughput,
-    tpu_v4,
-)
-from repro.hardware.registry import (
-    CHIP_REGISTRY,
-    get_chip,
-    list_chips,
-    register_chip,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CHIP_REGISTRY",
-    "get_chip",
-    "list_chips",
-    "register_chip",
-    "ProcessNode",
-    "area_scaling_factor",
-    "normalize_area",
-    "MacTree",
-    "SystolicArray",
-    "VectorUnit",
-    "Dram",
-    "DramKind",
-    "Sram",
-    "NocSpec",
-    "P2pSpec",
-    "ChipSpec",
-    "AreaBreakdown",
-    "AreaModel",
-    "EnergyBreakdown",
-    "PowerModel",
-    "a100",
-    "h100",
-    "tpu_v4",
-    "groq_tsp",
-    "llmcompass_latency",
-    "llmcompass_throughput",
-    "ador_table3",
-    "ader_reference_designs",
-]
+_EXPORTS = {
+    "repro.hardware.registry": (
+        "CHIP_REGISTRY", "get_chip", "list_chips", "register_chip"),
+    "repro.hardware.technology": (
+        "ProcessNode", "area_scaling_factor", "normalize_area"),
+    "repro.hardware.components": ("MacTree", "SystolicArray", "VectorUnit"),
+    "repro.hardware.memory": ("Dram", "DramKind", "Sram"),
+    "repro.hardware.interconnect": ("NocSpec", "P2pSpec"),
+    "repro.hardware.chip": ("ChipSpec",),
+    "repro.hardware.area": ("AreaBreakdown", "AreaModel"),
+    "repro.hardware.power": ("EnergyBreakdown", "PowerModel"),
+    "repro.hardware.presets": (
+        "a100", "h100", "tpu_v4", "groq_tsp", "llmcompass_latency",
+        "llmcompass_throughput", "ador_table3", "ader_reference_designs"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

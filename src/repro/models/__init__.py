@@ -9,32 +9,16 @@ analysis (:mod:`repro.models.kv_cache`), and the local-memory footprint
 simulator used to size on-chip SRAM (:mod:`repro.models.footprint`).
 """
 
-from repro.models.config import AttentionKind, ModelConfig
-from repro.models.zoo import get_model, list_models, register_model
-from repro.models.layers import Operator, OperatorKind, Phase
-from repro.models.graph import build_decode_graph, build_prefill_graph, operation_share
-from repro.models.kv_cache import (
-    kv_bytes_per_token,
-    kv_cache_bytes,
-    kv_fraction_of_traffic,
-)
-from repro.models.footprint import LocalMemoryReport, peak_local_memory
+from repro import lazy_exports
 
-__all__ = [
-    "AttentionKind",
-    "ModelConfig",
-    "get_model",
-    "list_models",
-    "register_model",
-    "Operator",
-    "OperatorKind",
-    "Phase",
-    "build_decode_graph",
-    "build_prefill_graph",
-    "operation_share",
-    "kv_bytes_per_token",
-    "kv_cache_bytes",
-    "kv_fraction_of_traffic",
-    "LocalMemoryReport",
-    "peak_local_memory",
-]
+_EXPORTS = {
+    "repro.models.config": ("AttentionKind", "ModelConfig"),
+    "repro.models.zoo": ("get_model", "list_models", "register_model"),
+    "repro.models.layers": ("Operator", "OperatorKind", "Phase"),
+    "repro.models.graph": (
+        "build_decode_graph", "build_prefill_graph", "operation_share"),
+    "repro.models.kv_cache": (
+        "kv_bytes_per_token", "kv_cache_bytes", "kv_fraction_of_traffic"),
+    "repro.models.footprint": ("LocalMemoryReport", "peak_local_memory"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

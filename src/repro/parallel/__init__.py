@@ -7,35 +7,18 @@ overlap model that determines minimum P2P bandwidth (Fig. 13b), and the
 model-parallelism mapper that shards a model across devices (Fig. 7a).
 """
 
-from repro.parallel.collectives import (
-    SyncMethod,
-    all_gather_bytes_per_device,
-    all_reduce_bytes_per_device,
-    collective_time,
-    layer_sync_plan,
-)
-from repro.parallel.tensor_parallel import (
-    TpLatencyModel,
-    tp_scalability_curve,
-)
-from repro.parallel.pipeline_parallel import PipelineParallelModel
-from repro.parallel.overlap import OverlapModel, minimum_p2p_bandwidth
-from repro.parallel.mapper import DeviceShard, ModelParallelMapper
-from repro.parallel.hybrid import HybridParallelPlanner, HybridPlan
+from repro import lazy_exports
 
-__all__ = [
-    "HybridParallelPlanner",
-    "HybridPlan",
-    "SyncMethod",
-    "all_gather_bytes_per_device",
-    "all_reduce_bytes_per_device",
-    "collective_time",
-    "layer_sync_plan",
-    "TpLatencyModel",
-    "tp_scalability_curve",
-    "PipelineParallelModel",
-    "OverlapModel",
-    "minimum_p2p_bandwidth",
-    "DeviceShard",
-    "ModelParallelMapper",
-]
+_EXPORTS = {
+    "repro.parallel.hybrid": ("HybridParallelPlanner", "HybridPlan"),
+    "repro.parallel.collectives": (
+        "SyncMethod", "all_gather_bytes_per_device",
+        "all_reduce_bytes_per_device", "collective_time",
+        "layer_sync_plan"),
+    "repro.parallel.tensor_parallel": (
+        "TpLatencyModel", "tp_scalability_curve"),
+    "repro.parallel.pipeline_parallel": ("PipelineParallelModel",),
+    "repro.parallel.overlap": ("OverlapModel", "minimum_p2p_bandwidth"),
+    "repro.parallel.mapper": ("DeviceShard", "ModelParallelMapper"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,42 +12,19 @@
   TSP comparison points (Figs. 1, 4, 15).
 """
 
-from repro.perf.effective_bandwidth import (
-    EffectiveBandwidthCurve,
-    MT_BANDWIDTH_CURVE,
-    effective_bandwidth,
-)
-from repro.perf.systolic import SaGemmEstimate, SystolicTimingModel
-from repro.perf.mac_tree import MacTreeTimingModel, MtEstimate
-from repro.perf.vector import VectorTimingModel
-from repro.perf.roofline import Bound, roofline_time
-from repro.perf.baselines import (
-    BaselineBreakdown,
-    DeviceModel,
-    GpuModel,
-    SystolicNpuModel,
-    TspModel,
-    baseline_for,
-)
-from repro.perf.cache import CachedDeviceModel, CacheStats
+from repro import lazy_exports
 
-__all__ = [
-    "EffectiveBandwidthCurve",
-    "MT_BANDWIDTH_CURVE",
-    "effective_bandwidth",
-    "SaGemmEstimate",
-    "SystolicTimingModel",
-    "MacTreeTimingModel",
-    "MtEstimate",
-    "VectorTimingModel",
-    "Bound",
-    "roofline_time",
-    "BaselineBreakdown",
-    "DeviceModel",
-    "GpuModel",
-    "SystolicNpuModel",
-    "TspModel",
-    "baseline_for",
-    "CachedDeviceModel",
-    "CacheStats",
-]
+_EXPORTS = {
+    "repro.perf.effective_bandwidth": (
+        "EffectiveBandwidthCurve", "MT_BANDWIDTH_CURVE",
+        "effective_bandwidth"),
+    "repro.perf.systolic": ("SaGemmEstimate", "SystolicTimingModel"),
+    "repro.perf.mac_tree": ("MacTreeTimingModel", "MtEstimate"),
+    "repro.perf.vector": ("VectorTimingModel",),
+    "repro.perf.roofline": ("Bound", "roofline_time"),
+    "repro.perf.baselines": (
+        "BaselineBreakdown", "DeviceModel", "GpuModel", "SystolicNpuModel",
+        "TspModel", "baseline_for"),
+    "repro.perf.cache": ("CachedDeviceModel", "CacheStats"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

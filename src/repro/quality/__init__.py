@@ -8,36 +8,14 @@ CLI; ``tests/test_lint.py::test_codebase_clean`` enforces a clean tree
 in tier-1.
 """
 
-from repro.quality.lint import (
-    exit_code,
-    format_json,
-    format_text,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-)
-from repro.quality.rules import (
-    RULE_REGISTRY,
-    Rule,
-    Violation,
-    all_rules,
-    register_rule,
-    resolve_rule,
-    rule_tokens,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "RULE_REGISTRY",
-    "Rule",
-    "Violation",
-    "all_rules",
-    "exit_code",
-    "format_json",
-    "format_text",
-    "iter_python_files",
-    "lint_paths",
-    "lint_source",
-    "register_rule",
-    "resolve_rule",
-    "rule_tokens",
-]
+_EXPORTS = {
+    "repro.quality.rules": (
+        "RULE_REGISTRY", "Rule", "Violation", "all_rules", "register_rule",
+        "resolve_rule", "rule_tokens"),
+    "repro.quality.lint": (
+        "exit_code", "format_json", "format_text", "iter_python_files",
+        "lint_paths", "lint_source"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -12,107 +12,38 @@ N replicas behind a request router (``DeploymentSpec(replicas=...,
 router=...)`` in the declarative API).
 """
 
-from repro.serving.request import Request, RequestState
-from repro.serving.dataset import ChatTraceConfig, ULTRACHAT_LIKE, sample_trace
-from repro.serving.generator import (
-    OnOffRequestGenerator,
-    PoissonArrivalTemplate,
-    PoissonRequestGenerator,
-)
-from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerLimits
-from repro.serving.engine import (
-    InstabilityMonitor,
-    Saturated,
-    ServingEngine,
-    SimulationResult,
-)
-from repro.serving.qos import QoSReport, compute_qos
-from repro.serving.capacity import (
-    CapacityProbePool,
-    CapacityResult,
-    EndpointUnservable,
-    ProbeOutcome,
-    max_capacity_under_slo,
-    probe_pool,
-    reference_capacity_search,
-)
-from repro.serving.utilization import UtilizationReport, utilization_report
-from repro.serving.policies import (
-    BatchingPolicy,
-    get_policy,
-    list_policies,
-    register_policy,
-    simulate_policy,
-)
-from repro.serving.traces import get_trace, list_traces, register_trace
-from repro.serving.sessions import (
-    MultiTurnSessionGenerator,
-    SessionConfig,
-    SessionTurn,
-)
-from repro.serving.kv_allocator import KvBlockConfig, PagedKvAllocator
-from repro.serving.prefix_cache import (
-    CachedPrefix,
-    PrefixCache,
-    PrefixCacheSpec,
-    PrefixCacheStats,
-    get_eviction_policy,
-    list_eviction_policies,
-    register_eviction_policy,
-)
-from repro.serving.trace_io import (
-    export_timeline,
-    load_requests,
-    save_requests,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "KvBlockConfig",
-    "PagedKvAllocator",
-    "CachedPrefix",
-    "PrefixCache",
-    "PrefixCacheSpec",
-    "PrefixCacheStats",
-    "get_eviction_policy",
-    "list_eviction_policies",
-    "register_eviction_policy",
-    "export_timeline",
-    "load_requests",
-    "save_requests",
-    "BatchingPolicy",
-    "simulate_policy",
-    "get_policy",
-    "list_policies",
-    "register_policy",
-    "get_trace",
-    "list_traces",
-    "register_trace",
-    "MultiTurnSessionGenerator",
-    "SessionConfig",
-    "SessionTurn",
-    "Request",
-    "RequestState",
-    "ChatTraceConfig",
-    "ULTRACHAT_LIKE",
-    "sample_trace",
-    "OnOffRequestGenerator",
-    "PoissonArrivalTemplate",
-    "PoissonRequestGenerator",
-    "ContinuousBatchingScheduler",
-    "SchedulerLimits",
-    "InstabilityMonitor",
-    "Saturated",
-    "ServingEngine",
-    "SimulationResult",
-    "QoSReport",
-    "compute_qos",
-    "CapacityProbePool",
-    "CapacityResult",
-    "EndpointUnservable",
-    "ProbeOutcome",
-    "max_capacity_under_slo",
-    "probe_pool",
-    "reference_capacity_search",
-    "UtilizationReport",
-    "utilization_report",
-]
+_EXPORTS = {
+    "repro.serving.kv_allocator": ("KvBlockConfig", "PagedKvAllocator"),
+    "repro.serving.prefix_cache": (
+        "CachedPrefix", "PrefixCache", "PrefixCacheSpec", "PrefixCacheStats",
+        "get_eviction_policy", "list_eviction_policies",
+        "register_eviction_policy"),
+    "repro.serving.trace_io": (
+        "export_timeline", "load_requests", "save_requests"),
+    "repro.serving.policies": (
+        "BatchingPolicy", "simulate_policy", "get_policy", "list_policies",
+        "register_policy"),
+    "repro.serving.traces": ("get_trace", "list_traces", "register_trace"),
+    "repro.serving.sessions": (
+        "MultiTurnSessionGenerator", "SessionConfig", "SessionTurn"),
+    "repro.serving.request": ("Request", "RequestState"),
+    "repro.serving.dataset": ("ChatTraceConfig", "ULTRACHAT_LIKE",
+                              "sample_trace"),
+    "repro.serving.generator": (
+        "OnOffRequestGenerator", "PoissonArrivalTemplate",
+        "PoissonRequestGenerator"),
+    "repro.serving.scheduler": (
+        "ContinuousBatchingScheduler", "SchedulerLimits"),
+    "repro.serving.engine": (
+        "InstabilityMonitor", "Saturated", "ServingEngine",
+        "SimulationResult"),
+    "repro.serving.qos": ("QoSReport", "compute_qos"),
+    "repro.serving.capacity": (
+        "CapacityProbePool", "CapacityResult", "EndpointUnservable",
+        "ProbeOutcome", "max_capacity_under_slo", "probe_pool",
+        "reference_capacity_search"),
+    "repro.serving.utilization": ("UtilizationReport", "utilization_report"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -47,10 +47,11 @@ import dataclasses
 import itertools
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis.sweep import SweepPool
+from repro import lazy_exports
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import max_batch_for_memory
 from repro.perf.baselines import DeviceModel
@@ -68,6 +69,15 @@ from repro.serving.generator import (
 )
 from repro.serving.qos import QoSReport, compute_qos
 from repro.serving.scheduler import SchedulerLimits
+
+if TYPE_CHECKING:  # pragma: no cover - the probe pool loads on use
+    from repro.analysis.sweep import SweepPool
+
+# the parallel probe pool, and the sweep machinery it extends, load only
+# when a search asks for one
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serving.capacity_pool": ("CapacityProbePool", "probe_pool"),
+})[1:]
 
 
 class EndpointUnservable(RuntimeError):
@@ -252,38 +262,6 @@ def _install_worker_device(device: DeviceModel) -> None:
     _WORKER_DEVICE[0] = device
 
 
-class CapacityProbePool(SweepPool):
-    """A :class:`~repro.analysis.sweep.SweepPool` for capacity probes.
-
-    The workers are initialized once with a shared memoized device
-    model, so probe tasks ship only the (small) per-search context and
-    every probe of every search warms the same cache.  Reusable across
-    the searches of a whole capacity study as long as they target the
-    same device.
-    """
-
-    def __init__(self, device: DeviceModel, workers: int = 3) -> None:
-        super().__init__(workers, initializer=_install_worker_device,
-                         initargs=(device,))
-        # the unwrapped device the workers were initialized with: probes
-        # for any other device must be rejected, not silently run on
-        # this one
-        self._device = getattr(device, "inner", device)
-
-    def check_device(self, device: DeviceModel) -> None:
-        """Reject probes whose device differs from the workers'."""
-        if getattr(device, "inner", device) is not self._device:
-            raise ValueError(
-                "this CapacityProbePool was initialized for a different "
-                "device; build the pool with probe_pool(device) from the "
-                "same device object the search uses")
-
-
-def probe_pool(device: DeviceModel, workers: int = 3) -> CapacityProbePool:
-    """A persistent probe pool sharing one warm device model."""
-    return CapacityProbePool(device, workers)
-
-
 def _probe_task(payload: tuple) -> ProbeOutcome:
     key, ctx, rate = payload
     if _WORKER_CONTEXT["key"] != key:
@@ -330,6 +308,8 @@ class _ProbeRunner:
         """Probe several candidate rates, in parallel when pooled."""
         fresh = [r for r in rates if r not in self.outcomes]
         if self.pool is not None and len(fresh) > 1:
+            from repro.serving.capacity_pool import CapacityProbePool
+
             ctx = self.ctx
             if isinstance(self.pool, CapacityProbePool):
                 # workers hold the shared device; don't re-pickle ours —
@@ -440,6 +420,8 @@ def max_capacity_under_slo(
     )
     owns_pool = False
     if parallel_probes > 1 and pool is None:
+        from repro.serving.capacity_pool import probe_pool
+
         pool = probe_pool(device, workers=parallel_probes)
         owns_pool = True
     runner = _ProbeRunner(ctx, pool if parallel_probes > 1 else None)

@@ -32,17 +32,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.hardware.chip import ChipKind
 from repro.models.config import ModelConfig
 from repro.perf.baselines import DeviceModel
-from repro.serving.prefix_cache import (
-    PrefixCache,
-    PrefixCacheSpec,
-    PrefixCacheStats,
-)
 from repro.serving.request import Request, RequestState
 from repro.serving.stream import RequestStream, in_arrival_order
 from repro.serving.scheduler import (
@@ -50,6 +46,13 @@ from repro.serving.scheduler import (
     IterationPlan,
     SchedulerLimits,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the prefix cache loads on use
+    from repro.serving.prefix_cache import (
+        PrefixCache,
+        PrefixCacheSpec,
+        PrefixCacheStats,
+    )
 
 #: Fraction of the shorter of (decode step, prefill chunk) hidden by the
 #: HDA's heterogeneous overlap; baselines get a small pipelining credit.
@@ -465,6 +468,12 @@ class EndpointSim:
         """The run so far in the single-engine result shape; prefix
         cache stats span every cold restart of the cache."""
         cache = self.prefix_cache
+        stats = None
+        if cache is not None:
+            from repro.serving.prefix_cache import PrefixCacheStats
+
+            stats = PrefixCacheStats.merged(
+                self._prior_cache_stats + [cache.stats])
         return SimulationResult(
             finished=finished,
             unfinished=self.in_flight(),
@@ -474,8 +483,7 @@ class EndpointSim:
             busy_time_s=self.busy,
             decode_time_s=self.decode_time,
             prefill_time_s=self.prefill_time,
-            prefix_cache=None if cache is None else PrefixCacheStats.merged(
-                self._prior_cache_stats + [cache.stats]),
+            prefix_cache=stats,
             **extra,
         )
 
@@ -516,6 +524,8 @@ class ServingEngine:
         """
         if self.prefix_cache_spec is None:
             return None
+        from repro.serving.prefix_cache import PrefixCache
+
         return PrefixCache.for_deployment(self.model, self.limits,
                                           self.prefix_cache_spec)
 

@@ -46,13 +46,15 @@ session first), ``largest`` (most blocks freed per eviction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
-from repro.models.config import ModelConfig
 from repro.registry import Registry
-from repro.serving.kv_allocator import KvBlockConfig, PagedKvAllocator
-from repro.serving.request import Request
-from repro.serving.scheduler import SchedulerLimits
+
+if TYPE_CHECKING:  # pragma: no cover - the paged pool loads on use
+    from repro.models.config import ModelConfig
+    from repro.serving.kv_allocator import PagedKvAllocator
+    from repro.serving.request import Request
+    from repro.serving.scheduler import SchedulerLimits
 
 
 # --------------------------------------------------------------------- #
@@ -288,6 +290,8 @@ class PrefixCache:
     def for_deployment(cls, model: ModelConfig, limits: SchedulerLimits,
                        spec: PrefixCacheSpec) -> "PrefixCache":
         """Build the pool an endpoint's limits imply and cache on it."""
+        from repro.serving.kv_allocator import KvBlockConfig, PagedKvAllocator
+
         allocator = PagedKvAllocator(model, KvBlockConfig(
             block_tokens=spec.block_tokens,
             pool_bytes=limits.kv_budget_bytes))

@@ -8,14 +8,10 @@ prefetch.  It is the deeper-fidelity counterpart of the closed-form
 the two agree on stage latencies.
 """
 
-from repro.simulator.machine import (
-    ExecutionReport,
-    InstructionLevelSimulator,
-    UnitTimeline,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ExecutionReport",
-    "InstructionLevelSimulator",
-    "UnitTimeline",
-]
+_EXPORTS = {
+    "repro.simulator.machine": (
+        "ExecutionReport", "InstructionLevelSimulator", "UnitTimeline"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
