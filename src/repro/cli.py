@@ -41,7 +41,7 @@ from repro.api import (
 from repro.cluster.autoscaler import list_autoscalers
 from repro.cluster.router import list_routers
 from repro.serving.prefix_cache import list_eviction_policies
-from repro.hardware.registry import list_chips
+from repro.hardware.registry import get_chip, list_chips
 from repro.models.zoo import get_model, list_models
 from repro.quality.rules import all_rules, rule_tokens
 
@@ -74,7 +74,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.core.scheduling import device_model_for
     from repro.hardware.area import AreaModel
     from repro.hardware.power import PowerModel
-    from repro.hardware.registry import get_chip
 
     model = get_model(args.model)
     chip = get_chip(args.chip)
