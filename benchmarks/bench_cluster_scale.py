@@ -1,8 +1,8 @@
-"""Cluster scale — streaming arrivals, sink-mode serving, and sharding.
+"""Cluster scale — streaming arrivals and sink-mode serving.
 
 Not a paper figure: this bench measures the *simulator's* million-request
 regime and seeds the recorded perf trajectory
-(``BENCH_cluster_scale.json``).  Three sections:
+(``BENCH_cluster_scale.json``).  Two sections:
 
 1. **stream** — a single continuous-batching ADOR endpoint fed a lazy
    wave-shaped arrival stream in sink mode (finished requests are
@@ -13,14 +13,8 @@ regime and seeds the recorded perf trajectory
    which is where the event-compressed core pays.
 
 2. **parity** — streaming vs. materialized on a 4-replica cluster
-   workload, and ``shards=1`` vs. the unsharded engine: both must be
-   bit-identical (every replica counter, every request timeline) before
-   any number here is trusted.
-
-3. **shard** — ``shards=2`` worker processes vs. the in-process engine
-   on the same fixed fleet.  The speedup is recorded *honestly*: on a
-   single-core runner process sharding buys nothing (expect <= 1x); the
-   row exists so multi-core runs have a baseline to compare against.
+   workload: they must be bit-identical (every replica counter, every
+   request timeline) before any number here is trusted.
 
 Run standalone for CI smoke: ``python benchmarks/bench_cluster_scale.py
 --quick`` (small counts, same assertions except the million-request
@@ -34,12 +28,11 @@ import sys
 import time
 
 from repro.analysis.tables import format_table
-from repro.api import DeploymentSpec, WorkloadSpec, simulate
-from repro.api.facade import _device_for
-from repro.cluster.engine import ClusterEngine
+from repro.api import DeploymentSpec, WorkloadSpec
+from repro.api.facade import _device_for, build_cluster_engine
 from repro.hardware.registry import get_chip
 from repro.models.zoo import get_model
-from repro.perf.scale import StreamStats, run_sharded_cluster
+from repro.perf.scale import StreamStats
 from repro.serving.engine import ServingEngine
 from repro.serving.request import Request
 from repro.serving.scheduler import SchedulerLimits
@@ -118,54 +111,16 @@ def _measure_stream(count):
 
 
 def _measure_parity(deployment, workload):
-    """Streaming-vs-materialized and shard=1-vs-unsharded bit-identity."""
-    device = _device_for(get_chip("ador"), True, 1)
-    model = get_model(deployment.model)
-
-    def engine():
-        return ClusterEngine(device, model, deployment.scheduler_limits(),
-                             num_devices=deployment.num_devices,
-                             replicas=deployment.replicas,
-                             router=deployment.router)
-
-    streamed = engine().run(workload.request_stream())
-    materialized = engine().run(workload.build_requests())
+    """Streaming-vs-materialized bit-identity."""
+    engine = build_cluster_engine(deployment)
+    streamed = engine.run(workload.request_stream())
+    materialized = engine.run(workload.build_requests())
     stream_identical = cluster_fingerprint(streamed) \
         == cluster_fingerprint(materialized)
-
-    shard1 = run_sharded_cluster(deployment, workload, shards=1)
-    reference = simulate(deployment, workload)
-    shard1_identical = cluster_fingerprint(shard1) \
-        == cluster_fingerprint(reference.cluster)
     return {
         "replicas": deployment.replicas,
         "num_requests": workload.num_requests,
         "stream_vs_materialized_identical": stream_identical,
-        "shard1_vs_unsharded_identical": shard1_identical,
-        "bit_identical": stream_identical and shard1_identical,
-    }
-
-
-def _measure_shards(deployment, workload):
-    """In-process engine vs. 2 shard worker processes, wall clock."""
-    start = time.perf_counter()
-    unsharded = run_sharded_cluster(deployment, workload, shards=1)
-    unsharded_s = time.perf_counter() - start
-    start = time.perf_counter()
-    sharded = run_sharded_cluster(deployment, workload, shards=2)
-    sharded_s = time.perf_counter() - start
-    conserved = (
-        len(sharded.merged.finished) + len(sharded.merged.unfinished)
-        == len(unsharded.merged.finished)
-        + len(unsharded.merged.unfinished))
-    return {
-        "shards": 2,
-        "replicas": deployment.replicas,
-        "num_requests": workload.num_requests,
-        "unsharded_wall_s": unsharded_s,
-        "sharded_wall_s": sharded_s,
-        "speedup": unsharded_s / sharded_s,
-        "requests_conserved": conserved,
     }
 
 
@@ -177,14 +132,12 @@ def run_cluster_scale(quick: bool = False) -> dict:
         "mode": "quick" if quick else "full",
         "stream": _measure_stream(stream_count),
         "parity": _measure_parity(deployment, workload),
-        "shard": _measure_shards(deployment, workload),
     }
 
 
 def render(payload: dict) -> str:
     stream = payload["stream"]
     parity = payload["parity"]
-    shard = payload["shard"]
     return "\n\n".join([
         format_table(
             ["requests", "sim tokens", "sim seconds", "wall (s)",
@@ -196,31 +149,19 @@ def render(payload: dict) -> str:
             title="Streaming sink-mode serving (constant memory, "
                   "wave arrivals)"),
         format_table(
-            ["replicas", "requests", "stream==list", "shard1==engine"],
+            ["replicas", "requests", "stream==list"],
             [[parity["replicas"], parity["num_requests"],
-              str(parity["stream_vs_materialized_identical"]),
-              str(parity["shard1_vs_unsharded_identical"])]],
+              str(parity["stream_vs_materialized_identical"])]],
             title="Bit-identity (fingerprints over every replica and "
                   "request)"),
-        format_table(
-            ["shards", "replicas", "requests", "in-proc wall (s)",
-             "sharded wall (s)", "speedup", "conserved"],
-            [[shard["shards"], shard["replicas"], shard["num_requests"],
-              shard["unsharded_wall_s"], shard["sharded_wall_s"],
-              shard["speedup"], str(shard["requests_conserved"])]],
-            title="Sharded worker processes vs in-process engine "
-                  "(modeled partition; speedup is honest — expect <= 1x "
-                  "on a single-core runner)"),
     ])
 
 
 def check(payload: dict) -> None:
     parity = payload["parity"]
-    assert parity["bit_identical"], \
-        "streaming/sharding parity broken — numbers above are untrusted"
+    assert parity["stream_vs_materialized_identical"], \
+        "streaming parity broken — numbers above are untrusted"
     stream = payload["stream"]
-    shard = payload["shard"]
-    assert shard["requests_conserved"], "sharded run lost requests"
     if payload["mode"] == "full":
         assert stream["requests"] >= 1_000_000, \
             f"full mode must stream >= 1e6 requests, " \

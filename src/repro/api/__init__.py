@@ -56,8 +56,6 @@ _EXPORTS = {
         "get_policy", "list_policies", "register_policy"),
     "repro.models.zoo": ("get_model", "list_models"),
     "repro.core.scheduling": ("device_model_for",),
-    "repro.perf.scale": (
-        "run_sharded_cluster", "ShardPool", "StreamStats",
-        "ProgressReporter"),
+    "repro.perf.scale": ("StreamStats", "ProgressReporter"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -106,33 +106,18 @@ def build_cluster_engine(deployment: DeploymentSpec, *,
                          context_bucket: int = 1) -> ClusterEngine:
     """The :class:`ClusterEngine` a deployment spec describes.
 
-    The one place deployment specs turn into engine fleets: the legacy
-    ``replicas=N`` form takes the exact single-spec construction it
-    always had, and an explicit ``fleet`` resolves each
-    :class:`~repro.api.specs.ReplicaGroupSpec` to its own device model
-    / model config / scheduler limits and builds the engine from
-    groups.  Shared by :func:`simulate_cluster`, the sharded runner and
-    the mixed-fleet capacity search, so every path sizes a fleet the
-    same way.
+    The one place deployment specs turn into engine fleets:
+    :meth:`~repro.api.specs.DeploymentSpec.fleet_groups` folds the
+    legacy ``replicas=N`` form into a one-group fleet, and each
+    :class:`~repro.api.specs.ReplicaGroupSpec` resolves to its own
+    device model / model config / scheduler limits.  Shared by
+    :func:`simulate_cluster` and the mixed-fleet capacity search, so
+    every path sizes a fleet the same way.
     """
     from repro.cluster.engine import ClusterEngine, EngineGroup
 
-    if deployment.fleet is None:
-        device = _device_for(deployment.chip_spec(), sim_cache,
-                             context_bucket)
-        return ClusterEngine(
-            device, get_model(deployment.model),
-            deployment.scheduler_limits(),
-            num_devices=deployment.num_devices,
-            replicas=deployment.replicas,
-            router=deployment.router,
-            fast_forward=sim_cache,
-            autoscale=deployment.autoscale,
-            prefix_cache=deployment.prefix_cache,
-            faults=deployment.faults,
-        )
     groups = []
-    for index, group in enumerate(deployment.fleet.groups):
+    for index, group in enumerate(deployment.fleet_groups()):
         chip = group.chip_spec()
         groups.append(EngineGroup(
             index, group.label, chip.name,
@@ -197,7 +182,6 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
              max_sim_seconds: float = 600.0, *,
              sim_cache: bool = True,
              context_bucket: int = 1,
-             shards: int = 1,
              progress=None) -> "ServingReport | ClusterReport":
     """Run one serving experiment end-to-end and report QoS + utilization.
 
@@ -218,10 +202,8 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
     With ``workload.streaming`` (the default) and continuous batching,
     arrivals are generated lazily and consumed through a bounded
     look-ahead window — bit-identical to the materialized list, at
-    constant memory.  ``shards`` (cluster runs only) partitions the
-    fleet over worker processes (see
-    :func:`repro.perf.scale.run_sharded_cluster`); ``progress`` is a
-    ``progress(sim_time, done_count)`` heartbeat callback (see
+    constant memory.  ``progress`` is a ``progress(sim_time,
+    done_count)`` heartbeat callback (see
     :class:`repro.perf.scale.ProgressReporter`).
     """
     if deployment.replicas > 1 or deployment.fleet is not None \
@@ -235,11 +217,7 @@ def simulate(deployment: DeploymentSpec, workload: WorkloadSpec,
                                 max_sim_seconds=max_sim_seconds,
                                 sim_cache=sim_cache,
                                 context_bucket=context_bucket,
-                                shards=shards,
                                 progress=progress)
-    if shards != 1:
-        raise ValueError(
-            "shards apply to multi-replica cluster deployments only")
     from repro.serving.policies import get_policy
     from repro.serving.qos import compute_qos
     from repro.serving.utilization import utilization_report
@@ -610,11 +588,16 @@ class ClusterReport:
                 f"autoscaled (start {self.deployment.replicas}, " \
                 f"peak {trace.peak_replicas})"
             endpoint = self.chip.name
+        # one count when every group agrees, else one per group in mix
+        # order ("4+2"); a fleet's top-level num_devices describes nothing
+        devices = [g.num_devices for g in self.deployment.fleet_groups()]
+        per_replica = str(devices[0]) if len(set(devices)) == 1 \
+            else "+".join(str(n) for n in devices)
         lines = [
             f"simulated {len(self.result.finished)} requests at "
             f"{self.workload.rate_per_s:g} req/s on "
             f"{fleet} {endpoint} "
-            f"({self.deployment.num_devices} device(s)/replica, "
+            f"({per_replica} device(s)/replica, "
             f"{self.deployment.router} routing):",
             f"  TTFT mean/p95 : {qos.ttft_mean_s * 1e3:.1f} / "
             f"{qos.ttft_p95_s * 1e3:.1f} ms",
@@ -681,7 +664,6 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
                      max_sim_seconds: float = 600.0, *,
                      sim_cache: bool = True,
                      context_bucket: int = 1,
-                     shards: int = 1,
                      progress=None) -> ClusterReport:
     """Run one cluster experiment: N replicas behind the spec'd router.
 
@@ -691,46 +673,21 @@ def simulate_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
     approximated.  ``sim_cache`` / ``context_bucket`` behave as in
     :func:`simulate`; the memoized device model is shared by every
     replica, so one replica's decode evaluations warm the whole fleet.
-
-    ``shards > 1`` partitions the fleet and its traffic over worker
-    processes via :func:`repro.perf.scale.run_sharded_cluster` — a
-    modeled approximation (per-shard routing), rejected loudly for
-    autoscaled or fault-injected deployments.  ``shards=1`` (default)
-    takes the exact engine path.
+    The engine comes from :func:`build_cluster_engine`, whichever way
+    the fleet is spelled; ``progress`` is the heartbeat callback of
+    :func:`simulate`.
     """
     if deployment.batching != "continuous":
         raise ValueError(
             f"cluster serving requires continuous batching, "
             f"got {deployment.batching!r}")
-    chip = deployment.chip_spec() if deployment.fleet is None \
-        else deployment.fleet.groups[0].chip_spec()
-    model = get_model(deployment.model if deployment.fleet is None
-                      else deployment.fleet.groups[0].model)
+    lead = deployment.fleet_groups()[0]
+    chip = lead.chip_spec()
+    model = get_model(lead.model)
     fleet_label = f"{deployment.replicas}x {chip.name}" \
         if deployment.fleet is None else \
         "+".join(f"{g.count}x{g.label}"
                  for g in deployment.fleet.groups)
-    if shards != 1:
-        from repro.perf.scale import run_sharded_cluster
-
-        if progress is not None:
-            raise ValueError(
-                "the progress heartbeat is per-process; run sharded "
-                "simulations without it (shards report on completion)")
-        cluster = run_sharded_cluster(
-            deployment, workload, max_sim_seconds, shards,
-            sim_cache=sim_cache, context_bucket=context_bucket)
-        if not cluster.merged.finished:
-            raise _nothing_finished(cluster, fleet_label, workload,
-                                    max_sim_seconds)
-        return ClusterReport(
-            deployment=deployment,
-            workload=workload,
-            chip=chip,
-            model=model,
-            cluster=cluster,
-            qos=cluster.qos(),
-        )
     requests = workload.request_stream() if workload.streaming \
         else workload.build_requests()
     engine = build_cluster_engine(deployment, sim_cache=sim_cache,
@@ -773,24 +730,24 @@ def save_experiment(experiment: Experiment,
 def run_experiment(source: Experiment | str | pathlib.Path, *,
                    sim_cache: bool = True,
                    context_bucket: int = 1,
-                   shards: int = 1,
                    progress=None
                    ) -> "ServingReport | ClusterReport | CapacityReport":
     """Execute an :class:`Experiment` (or a path to one) end-to-end.
 
     An experiment with a ``capacity`` section runs the SLO-capacity
     search and returns a :class:`CapacityReport`; otherwise the fixed-
-    rate simulation runs as before.  ``shards`` / ``progress`` forward
-    to :func:`simulate` (fixed-rate runs only — the capacity search
-    manages its own probe parallelism).
+    rate simulation runs as before.  ``progress`` forwards to
+    :func:`simulate`; a capacity experiment rejects it, because the
+    search runs many short probes, not one long run to report on.
     """
     experiment = source if isinstance(source, Experiment) \
         else load_experiment(source)
     if experiment.capacity is not None:
-        if shards != 1:
+        if progress is not None:
             raise ValueError(
-                "shards apply to fixed-rate cluster runs; the capacity "
-                "search parallelizes over probes instead (workers=N)")
+                "the progress heartbeat reports one fixed-rate run; a "
+                "capacity experiment runs many short probes — drop "
+                "progress (--progress)")
         return find_capacity(experiment.deployment, experiment.workload,
                              experiment.capacity,
                              max_sim_seconds=experiment.max_sim_seconds,
@@ -799,4 +756,4 @@ def run_experiment(source: Experiment | str | pathlib.Path, *,
     return simulate(experiment.deployment, experiment.workload,
                     max_sim_seconds=experiment.max_sim_seconds,
                     sim_cache=sim_cache, context_bucket=context_bucket,
-                    shards=shards, progress=progress)
+                    progress=progress)

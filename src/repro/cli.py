@@ -333,7 +333,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         report = simulate(deployment, workload,
                           sim_cache=not args.no_sim_cache,
                           context_bucket=args.context_bucket,
-                          shards=args.shards,
                           progress=_progress_reporter(args, "serve"))
     except EndpointOverloaded as exc:
         print(exc)
@@ -455,7 +454,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         report = run_experiment(experiment,
                                 sim_cache=not args.no_sim_cache,
                                 context_bucket=args.context_bucket,
-                                shards=args.shards,
                                 progress=_progress_reporter(args, "run"))
     except EndpointOverloaded as exc:
         print(exc)
@@ -688,10 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "instead of streaming arrivals lazily "
                             "(bit-identical results; streaming keeps "
                             "peak memory constant in request count)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="partition a fixed multi-replica fleet over "
-                            "N worker processes (modeled per-shard "
-                            "routing; 1 = the exact engine, default)")
     serve.add_argument("--progress", nargs="?", const=5.0, type=float,
                        default=None, metavar="SECS",
                        help="stderr heartbeat (simulated time + "
@@ -775,15 +769,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-stream", action="store_true",
                      help="materialize the request list up front instead "
                           "of streaming arrivals (bit-identical results)")
-    run.add_argument("--shards", type=int, default=1,
-                     help="partition a fixed multi-replica fleet over N "
-                          "worker processes (modeled per-shard routing; "
-                          "1 = the exact engine, default)")
     run.add_argument("--progress", nargs="?", const=5.0, type=float,
                      default=None, metavar="SECS",
                      help="stderr heartbeat (simulated time + requests "
                           "done) every SECS wall-clock seconds "
-                          "(default 5 when given bare)")
+                          "(default 5 when given bare); fixed-rate "
+                          "experiments only")
 
     lint = sub.add_parser(
         "lint",

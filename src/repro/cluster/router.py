@@ -121,7 +121,7 @@ def make_router(router: str | RouterPolicy) -> RouterPolicy:
     Threshold routers accept a parametric form ``"name:N"`` (e.g.
     ``"slo-aware:128"``) setting the short/long prompt boundary to
     ``N`` input tokens — the name stays a plain string, so it rides
-    through experiment JSON and sharded-run pickling unchanged.
+    through experiment JSON and the CLI unchanged.
     """
     if isinstance(router, str):
         base, sep, raw = router.partition(":")

@@ -1,19 +1,6 @@
-"""Cluster-scale machinery: sharded simulation, streaming aggregates,
-and the long-run progress heartbeat.
+"""Long-run helpers: streaming aggregates and the progress heartbeat.
 
-Three pieces, all serving the million-request regime:
-
-* :func:`run_sharded_cluster` partitions a fixed fleet — and its
-  session-affine traffic — across :class:`ShardPool` worker processes
-  (the :class:`~repro.analysis.sweep.SweepPool` idiom) and merges the
-  per-shard replica results into one
-  :class:`~repro.cluster.report.ClusterResult` deterministically.
-  Sharding is a **modeled** approximation: each shard routes only its
-  own traffic slice over its own replica subset, so cross-shard load
-  balancing disappears and the result is *not* bit-identical to the
-  unsharded engine (``shards=1`` is, by construction — it takes the
-  exact unsharded path).  Sessions never split across shards, so
-  affinity routing and prefix reuse stay intact per shard.
+Two pieces, both serving the million-request regime:
 
 * :class:`StreamStats` is a finished-request sink for
   ``ServingEngine.run(..., sink=...)``: constant-memory streaming runs
@@ -29,229 +16,12 @@ Three pieces, all serving the million-request regime:
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import time
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
-from repro.api.specs import DeploymentSpec, WorkloadSpec
-from repro.cluster.report import ClusterResult, aggregate_cluster
-from repro.serving.engine import SimulationResult
-from repro.serving.request import Request
-
-_ANNOTATION = "shard failed at index "
-
-
-# --------------------------------------------------------------------- #
-# Traffic partitioning                                                   #
-# --------------------------------------------------------------------- #
-
-def shard_requests(workload: WorkloadSpec, shard: int,
-                   shards: int) -> Iterator[Request]:
-    """Lazily yield the requests belonging to one traffic shard.
-
-    Session-affine partition: a request follows ``session_id % shards``
-    when it belongs to a session (all turns of one conversation land on
-    one shard, keeping affinity routing and prefix reuse meaningful)
-    and ``request_id % shards`` otherwise.  A monotone subsequence of a
-    time-sorted stream is time-sorted, so the filtered stream passes
-    the engines' online ordering check unchanged.
-    """
-    if not 0 <= shard < shards:
-        raise ValueError(f"shard index {shard} outside [0, {shards})")
-    source: Iterable[Request] = workload.iter_requests() \
-        if workload.streaming else workload.build_requests()
-    for request in source:
-        key = request.session_id if request.session_id is not None \
-            else request.request_id
-        if key % shards == shard:
-            yield request
-
-
-def shard_replica_count(replicas: int, shard: int, shards: int) -> int:
-    """Replicas owned by one shard: near-even split, remainder to the
-    lowest-indexed shards (deterministic for any (replicas, shards))."""
-    base, extra = divmod(replicas, shards)
-    return base + (1 if shard < extra else 0)
-
-
-# --------------------------------------------------------------------- #
-# Worker side                                                            #
-# --------------------------------------------------------------------- #
-
-def _simulate_shard(task: tuple) -> tuple[SimulationResult, ...]:
-    """Run one shard's replica subset over its traffic slice.
-
-    Module-level so the pool can pickle it; everything it needs rides
-    in the task tuple (frozen specs pickle by value).  Imports stay
-    inside the function so worker start-up does not pay for the full
-    api surface before it must.
-    """
-    (deployment, workload, max_sim_seconds, shard, shards, sim_cache,
-     context_bucket) = task
-    from repro.api.facade import _device_for
-    from repro.cluster.engine import ClusterEngine
-    from repro.models.zoo import get_model
-
-    device = _device_for(deployment.chip_spec(), sim_cache, context_bucket)
-    model = get_model(deployment.model)
-    engine = ClusterEngine(
-        device, model, deployment.scheduler_limits(),
-        num_devices=deployment.num_devices,
-        replicas=shard_replica_count(deployment.replicas, shard, shards),
-        router=deployment.router,
-        fast_forward=sim_cache,
-        prefix_cache=deployment.prefix_cache,
-    )
-    result = engine.run(shard_requests(workload, shard, shards),
-                        max_sim_seconds=max_sim_seconds)
-    return result.replica_results
-
-
-def _apply_shard(task: tuple):
-    """Annotate worker failures with the shard index (SweepPool idiom:
-    the in-process and pooled paths raise the identical message)."""
-    try:
-        return _simulate_shard(task)
-    except Exception as exc:  # pragma: no cover - diagnostic path
-        raise RuntimeError(f"{_ANNOTATION}{task[3]}: {exc}") from exc
-
-
-class ShardPool:
-    """A persistent worker pool reusable across sharded cluster runs.
-
-    Mirrors :class:`~repro.analysis.sweep.SweepPool`: workers stay
-    alive between calls, so a bench that runs many sharded simulations
-    pays the process spawn once; module-level caches populated by one
-    run's shards warm the next run's.  Usable as a context manager.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        import concurrent.futures
-
-        self.workers = workers
-        self._executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers)
-
-    def run_shards(self, tasks: list[tuple]) -> list:
-        """Run every shard task; results in shard order."""
-        futures = [self._executor.submit(_apply_shard, task)
-                   for task in tasks]
-        results = []
-        for task, future in zip(tasks, futures):
-            try:
-                results.append(future.result())
-            except Exception as exc:
-                for pending in futures:
-                    pending.cancel()
-                if isinstance(exc, RuntimeError) \
-                        and str(exc).startswith(_ANNOTATION):
-                    raise
-                raise RuntimeError(
-                    f"{_ANNOTATION}{task[3]}: {exc}") from exc
-        return results
-
-    def close(self) -> None:
-        """Shut the workers down (pending work is cancelled)."""
-        self._executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# --------------------------------------------------------------------- #
-# Driver                                                                 #
-# --------------------------------------------------------------------- #
-
-def run_sharded_cluster(deployment: DeploymentSpec, workload: WorkloadSpec,
-                        max_sim_seconds: float = 600.0, shards: int = 2, *,
-                        sim_cache: bool = True, context_bucket: int = 1,
-                        pool: ShardPool | None = None) -> ClusterResult:
-    """Simulate a fixed fleet partitioned over ``shards`` processes.
-
-    ``shards=1`` takes the exact unsharded engine path (bit-identical
-    to :func:`repro.api.facade.simulate_cluster` with default knobs).
-    With more shards, replicas are split near-evenly and traffic
-    follows :func:`shard_requests`; per-shard replica results are
-    concatenated in shard order and merged by
-    :func:`~repro.cluster.report.aggregate_cluster`, so the merge is
-    deterministic — same spec, same shard count, same report.
-
-    Elastic features are rejected loudly: autoscaling and fault
-    injection coordinate the *whole* fleet each decision interval,
-    which a shard cannot see; silently sharding them would change
-    semantics, not just wall-clock.  Explicit fleets shard only when
-    homogeneous — a one-group :class:`~repro.api.specs.FleetSpec`
-    flattens onto the legacy fields, a mixed fleet is rejected (its
-    capability-aware routing needs the whole-fleet view).
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if deployment.batching != "continuous":
-        raise ValueError(
-            f"sharded cluster serving requires continuous batching, "
-            f"got {deployment.batching!r}")
-    if shards == 1:
-        from repro.api.facade import build_cluster_engine
-
-        engine = build_cluster_engine(deployment, sim_cache=sim_cache,
-                                      context_bucket=context_bucket)
-        requests = workload.request_stream() if workload.streaming \
-            else workload.build_requests()
-        return engine.run(requests, max_sim_seconds=max_sim_seconds)
-    if deployment.fleet is not None:
-        if len(deployment.fleet.groups) > 1:
-            raise ValueError(
-                "sharding requires a homogeneous fleet: per-shard "
-                "routing cannot weigh groups it does not own, so a "
-                "mixed fleet would silently lose its capability-aware "
-                "placement — run the exact engine (shards=1) instead")
-        # a one-group fleet is the homogeneous case spelled explicitly;
-        # flatten it onto the legacy fields the shard workers build from
-        group = deployment.fleet.groups[0]
-        deployment = dataclasses.replace(
-            deployment, fleet=None,
-            chip=group.chip, model=group.model,
-            num_devices=group.num_devices, max_batch=group.max_batch,
-            prefill_chunk_tokens=group.prefill_chunk_tokens,
-            kv_budget_bytes=float("inf") if group.kv_budget_bytes is None
-            else group.kv_budget_bytes,
-            replicas=group.count)
-    if deployment.replicas < shards:
-        raise ValueError(
-            f"cannot shard {deployment.replicas} replicas over {shards} "
-            f"processes — every shard needs at least one replica")
-    if deployment.autoscale is not None:
-        raise ValueError(
-            "sharding requires a fixed fleet: the autoscaler decides "
-            "over fleet-wide observations no shard can see")
-    if deployment.faults is not None and deployment.faults.enabled:
-        raise ValueError(
-            "sharding cannot run fault injection: the fault coordinator "
-            "replays retries against the whole fleet")
-    if not isinstance(deployment.router, str):
-        raise ValueError(
-            "sharded runs need the router by registry name — a router "
-            "instance would be shared mutable state across processes")
-    tasks = [
-        (deployment, workload, max_sim_seconds, shard, shards, sim_cache,
-         context_bucket)
-        for shard in range(shards)
-    ]
-    if pool is not None:
-        shard_results = pool.run_shards(tasks)
-    else:
-        with ShardPool(shards) as scoped:
-            shard_results = scoped.run_shards(tasks)
-    merged: list[SimulationResult] = []
-    for replica_results in shard_results:
-        merged.extend(replica_results)
-    return aggregate_cluster(merged)
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.serving.request import Request
 
 
 # --------------------------------------------------------------------- #

@@ -97,6 +97,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "TTFT" in out and "tokens/s" in out
 
+    def test_run_capacity_rejects_progress(self, capsys, tmp_path):
+        experiment = {
+            "deployment": {"chip": "ador"},
+            "workload": {"trace": "ultrachat", "num_requests": 20,
+                         "seed": 7},
+            "capacity": {"slo_tbt_s": 0.05, "iterations": 2},
+        }
+        path = tmp_path / "capacity.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path), "--progress"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "progress" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_search_proposes_design(self, capsys):
         code = main(["search", "--ttft-ms", "50", "--tbt-ms", "30"])
         assert code == 0

@@ -358,6 +358,23 @@ class TestClusterSpecsAndFacade:
         assert "least-outstanding" in text
         assert "requests/replica" in text
 
+    def test_fleet_summary_counts_devices_per_group(self):
+        from repro.api import FleetSpec, ReplicaGroupSpec
+
+        workload = WorkloadSpec(rate_per_s=10.0, num_requests=12)
+
+        def header(*devices):
+            fleet = FleetSpec(groups=tuple(
+                ReplicaGroupSpec(chip="ador", num_devices=n,
+                                 name=f"tp{n}-{i}")
+                for i, n in enumerate(devices)))
+            report = simulate(DeploymentSpec(fleet=fleet), workload)
+            return report.summary_lines()[0]
+
+        # the top-level num_devices (1) describes nothing for a fleet
+        assert "(4+2 device(s)/replica," in header(4, 2)
+        assert "(2 device(s)/replica," in header(2, 2)
+
     def test_committed_cluster_experiment_runs(self):
         path = EXPERIMENTS / "cluster_ador_4x.json"
         data = json.loads(path.read_text())

@@ -1,10 +1,9 @@
-"""Sharded cluster simulation and the long-run progress heartbeat.
+"""The exact cluster path and the long-run progress heartbeat.
 
-``shards=1`` must take the exact unsharded engine path (bit-identical
-fingerprints); ``shards>1`` is a *modeled* approximation that must be
-deterministic, conserve every request, and reject the elastic features
-it cannot see.  Plus units for the traffic partition, the replica
-split, and :class:`ProgressReporter` throttling with an injected clock.
+Every deployment reaches the cluster engine through
+:func:`build_cluster_engine`, which must match a directly constructed
+:class:`ClusterEngine` bit for bit.  Plus :class:`ProgressReporter`
+throttling with an injected clock, and where the heartbeat is refused.
 """
 
 import io
@@ -12,29 +11,20 @@ import io
 import pytest
 
 from repro.api import (
-    ClusterReport,
     DeploymentSpec,
     Experiment,
     WorkloadSpec,
     run_experiment,
     simulate,
-    simulate_cluster,
 )
-from repro.cluster.autoscaler import AutoscaleSpec
-from repro.cluster.faults import FaultSpec
-from repro.perf.scale import (
-    ProgressReporter,
-    ShardPool,
-    run_sharded_cluster,
-    shard_replica_count,
-    shard_requests,
-)
+from repro.api.facade import _device_for, build_cluster_engine
+from repro.cluster.engine import ClusterEngine
+from repro.models.zoo import get_model
+from repro.perf.scale import ProgressReporter
 
 DEPLOYMENT = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
                             max_batch=8)
 WORKLOAD = WorkloadSpec(rate_per_s=20.0, num_requests=48, seed=11)
-SESSIONS = WorkloadSpec(arrival="sessions", rate_per_s=4.0,
-                        num_requests=12, seed=5)
 
 
 def request_fingerprints(requests):
@@ -54,185 +44,23 @@ def cluster_fingerprint(result):
 
 
 # --------------------------------------------------------------------- #
-# Traffic partition + replica split                                      #
+# One build path                                                         #
 # --------------------------------------------------------------------- #
 
-def test_shard_requests_partition_is_exact():
-    shards = 3
-    slices = [list(shard_requests(WORKLOAD, s, shards))
-              for s in range(shards)]
-    ids = sorted(r.request_id for part in slices for r in part)
-    assert ids == [r.request_id for r in WORKLOAD.build_requests()]
-    for shard, part in enumerate(slices):
-        assert all(r.request_id % shards == shard for r in part)
-        arrivals = [r.arrival_time for r in part]
-        assert arrivals == sorted(arrivals)
-
-
-def test_shard_requests_keep_sessions_whole():
-    shards = 2
-    for shard in range(shards):
-        for r in shard_requests(SESSIONS, shard, shards):
-            assert r.session_id % shards == shard
-
-
-def test_shard_requests_rejects_bad_index():
-    with pytest.raises(ValueError, match="outside"):
-        next(shard_requests(WORKLOAD, 2, 2))
-
-
-@pytest.mark.parametrize("replicas,shards", [(4, 2), (5, 2), (7, 3), (3, 3)])
-def test_shard_replica_count_conserves_replicas(replicas, shards):
-    counts = [shard_replica_count(replicas, s, shards)
-              for s in range(shards)]
-    assert sum(counts) == replicas
-    assert max(counts) - min(counts) <= 1
-    # remainder goes to the lowest-indexed shards, deterministically
-    assert counts == sorted(counts, reverse=True)
-
-
-# --------------------------------------------------------------------- #
-# shards=1 : exact unsharded path                                        #
-# --------------------------------------------------------------------- #
-
-def test_shards_one_is_bit_identical_to_unsharded():
-    sharded = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=1)
-    reference = simulate_cluster(DEPLOYMENT, WORKLOAD)
-    assert cluster_fingerprint(sharded) \
-        == cluster_fingerprint(reference.cluster)
-    assert sharded.merged.total_time_s \
-        == reference.cluster.merged.total_time_s
-
-
-# --------------------------------------------------------------------- #
-# shards>1 : modeled, deterministic, conservative                        #
-# --------------------------------------------------------------------- #
-
-def test_sharded_run_is_deterministic_and_conserves_requests():
-    first = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2)
-    second = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2)
-    assert cluster_fingerprint(first) == cluster_fingerprint(second)
-    assert first.replica_count == DEPLOYMENT.replicas
-    total = len(first.merged.finished) + len(first.merged.unfinished)
-    assert total == WORKLOAD.num_requests
-
-
-def test_sharded_pool_reuse_across_runs():
-    with ShardPool(2) as pool:
-        a = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2, pool=pool)
-        b = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2, pool=pool)
-    assert cluster_fingerprint(a) == cluster_fingerprint(b)
-
-
-def test_sharded_facade_returns_cluster_report():
-    report = simulate(DEPLOYMENT, WORKLOAD, shards=2)
-    assert isinstance(report, ClusterReport)
-    finished = len(report.result.finished)
-    assert finished + len(report.result.unfinished) \
-        == WORKLOAD.num_requests
-    assert report.qos.request_count == finished
-
-
-def test_run_experiment_forwards_shards():
-    experiment = Experiment(name="sharded", deployment=DEPLOYMENT,
-                            workload=WORKLOAD)
-    report = run_experiment(experiment, shards=2)
-    assert isinstance(report, ClusterReport)
-
-
-# --------------------------------------------------------------------- #
-# Rejections: what sharding must refuse                                  #
-# --------------------------------------------------------------------- #
-
-def test_sharding_rejects_autoscale():
-    deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
-                                autoscale=AutoscaleSpec())
-    with pytest.raises(ValueError, match="autoscal"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
-
-
-def test_sharding_rejects_enabled_faults():
-    deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
-                                faults=FaultSpec(enabled=True,
-                                                 crash_mtbf_s=50.0))
-    with pytest.raises(ValueError, match="fault"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
-
-
-def test_sharding_allows_disabled_faults():
-    deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=2,
-                                faults=FaultSpec(enabled=False))
-    result = run_sharded_cluster(deployment, WORKLOAD, shards=2)
-    assert result.replica_count == 2
-
-
-def test_sharding_rejects_more_shards_than_replicas():
-    with pytest.raises(ValueError, match="at least one replica"):
-        run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=5)
-
-
-def test_sharding_rejects_heterogeneous_fleet():
-    from repro.api import FleetSpec, ReplicaGroupSpec
-
-    deployment = DeploymentSpec(
-        chip="ador", model="llama3-8b",
-        fleet=FleetSpec(groups=(
-            ReplicaGroupSpec(chip="ador", count=2),
-            ReplicaGroupSpec(chip="a100", count=2),
-        )))
-    with pytest.raises(ValueError, match="homogeneous fleet"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
-
-
-def test_sharding_flattens_one_group_fleet():
-    from repro.api import FleetSpec, ReplicaGroupSpec
-
-    explicit = DeploymentSpec(
-        chip="ador", model="llama3-8b",
-        fleet=FleetSpec(groups=(
-            ReplicaGroupSpec(chip="ador", count=DEPLOYMENT.replicas,
-                             max_batch=DEPLOYMENT.max_batch),)))
-    sharded = run_sharded_cluster(explicit, WORKLOAD, shards=2)
-    reference = run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=2)
-    assert cluster_fingerprint(sharded) == cluster_fingerprint(reference)
-
-
-def test_sharding_rejects_non_continuous_batching():
-    deployment = DeploymentSpec(chip="ador", model="llama3-8b", replicas=4,
-                                batching="static")
-    with pytest.raises(ValueError, match="continuous"):
-        run_sharded_cluster(deployment, WORKLOAD, shards=2)
-
-
-def test_sharding_rejects_bad_shard_count():
-    with pytest.raises(ValueError, match="shards must be >= 1"):
-        run_sharded_cluster(DEPLOYMENT, WORKLOAD, shards=0)
-
-
-def test_facade_rejects_shards_on_single_endpoint():
-    single = DeploymentSpec(chip="ador", model="llama3-8b")
-    with pytest.raises(ValueError, match="multi-replica"):
-        simulate(single, WORKLOAD, shards=2)
-
-
-def test_facade_rejects_progress_with_shards():
-    with pytest.raises(ValueError, match="per-process"):
-        simulate(DEPLOYMENT, WORKLOAD, shards=2,
-                 progress=ProgressReporter())
-
-
-def test_capacity_experiment_rejects_shards():
-    from repro.api.specs import CapacitySpec
-    experiment = Experiment(name="cap", deployment=DEPLOYMENT,
-                            workload=WORKLOAD,
-                            capacity=CapacitySpec())
-    with pytest.raises(ValueError, match="capacity"):
-        run_experiment(experiment, shards=2)
-
-
-def test_shard_pool_rejects_zero_workers():
-    with pytest.raises(ValueError, match="workers"):
-        ShardPool(0)
+def test_build_cluster_engine_matches_direct_engine():
+    """``replicas=N`` folds into a one-group fleet; the engine it builds
+    must equal the single-spec construction, bit for bit."""
+    direct = ClusterEngine(
+        _device_for(DEPLOYMENT.chip_spec(), True, 1),
+        get_model(DEPLOYMENT.model), DEPLOYMENT.scheduler_limits(),
+        num_devices=DEPLOYMENT.num_devices,
+        replicas=DEPLOYMENT.replicas, router=DEPLOYMENT.router)
+    built = build_cluster_engine(DEPLOYMENT)
+    reference = direct.run(WORKLOAD.build_requests())
+    result = built.run(WORKLOAD.build_requests())
+    assert cluster_fingerprint(result) == cluster_fingerprint(reference)
+    assert result.merged.total_time_s == reference.merged.total_time_s
+    assert result.groups is None
 
 
 # --------------------------------------------------------------------- #
@@ -278,6 +106,16 @@ def test_simulate_with_progress_heartbeat():
     simulate(DEPLOYMENT, WORKLOAD, progress=reporter)
     assert reporter.emitted > 0
     assert "[hb] sim_time=" in out.getvalue()
+
+
+def test_capacity_experiment_rejects_progress():
+    from repro.api.specs import CapacitySpec
+    experiment = Experiment(name="cap",
+                            deployment=DeploymentSpec(max_batch=8),
+                            workload=WORKLOAD,
+                            capacity=CapacitySpec())
+    with pytest.raises(ValueError, match="capacity experiment"):
+        run_experiment(experiment, progress=ProgressReporter())
 
 
 def test_progress_requires_continuous_batching():

@@ -180,9 +180,9 @@ PUBLIC_NAMES = {
         list_routers list_traces load_experiment PrefixCacheSpec
         ProgressReporter register_autoscaler register_chip
         register_eviction_policy register_policy register_router
-        register_trace ReplicaGroupSpec run_experiment run_sharded_cluster
-        save_experiment ServingReport SessionConfig ShardPool simulate
-        simulate_cluster StreamStats WorkloadSpec
+        register_trace ReplicaGroupSpec run_experiment save_experiment
+        ServingReport SessionConfig simulate simulate_cluster StreamStats
+        WorkloadSpec
     """,
     "repro.cluster": """
         aggregate_cluster AUTOSCALER_REGISTRY AutoscalerPolicy AutoscaleSpec
