@@ -327,7 +327,7 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
                   max_sim_seconds: float = 600.0, *,
                   sim_cache: bool = True,
                   context_bucket: int = 1,
-                  pool=None, **overrides) -> CapacityReport:
+                  **overrides) -> CapacityReport:
     """Search the highest SLO-compliant arrival rate for a deployment.
 
     ``capacity`` carries the SLO and search knobs (keyword
@@ -338,24 +338,14 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
     the capacity engine's memory-derived admission policy (paper
     Fig. 16), not ``deployment.max_batch``.
 
-    ``pool`` accepts a persistent
-    :class:`repro.serving.capacity.CapacityProbePool` so the searches
-    of a sweep share warm worker caches.
-
     A deployment with an explicit ``fleet`` dispatches to
     :func:`find_fleet_capacity` instead: the workload's ``rate_per_s``
     is then the *fixed* demand and the search finds the cheapest group
-    mix sustaining it (``pool`` is rejected — fleet probes are full
-    cluster simulations).
+    mix sustaining it.
     """
     from repro.serving.capacity import max_capacity_under_slo
 
     if deployment.fleet is not None:
-        if pool is not None:
-            raise ValueError(
-                "the probe pool parallelizes single-endpoint rate "
-                "probes; the mixed-fleet search runs full cluster "
-                "simulations and does not take one")
         return find_fleet_capacity(
             deployment, workload, capacity,
             max_sim_seconds=max_sim_seconds, sim_cache=sim_cache,
@@ -412,8 +402,6 @@ def find_capacity(deployment: DeploymentSpec, workload: WorkloadSpec,
         max_sim_seconds=max_sim_seconds,
         reuse_arrivals=capacity.reuse_arrivals,
         early_abort=capacity.early_abort,
-        parallel_probes=capacity.parallel_probes,
-        pool=pool,
         sim_cache=sim_cache,
     )
     return CapacityReport(

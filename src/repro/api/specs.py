@@ -742,10 +742,10 @@ class CapacitySpec:
     optionally TTFT) SLO at ``percentile``.  The workload spec's
     ``rate_per_s`` is ignored — the rate is what's being searched for.
 
-    ``early_abort``, ``reuse_arrivals`` and ``parallel_probes`` are the
-    capacity engine's speed knobs (see
-    :func:`repro.serving.capacity.max_capacity_under_slo`); all of them
-    leave the found rate identical to the sequential reference search.
+    ``early_abort`` and ``reuse_arrivals`` are the capacity engine's
+    speed knobs (see
+    :func:`repro.serving.capacity.max_capacity_under_slo`); both leave
+    the found rate identical to the sequential reference search.
     """
 
     slo_tbt_s: float = 0.050
@@ -756,7 +756,6 @@ class CapacitySpec:
     iterations: int = 9
     early_abort: bool = True
     reuse_arrivals: bool = True
-    parallel_probes: int = 1
 
     _PERCENTILES = ("mean", "p50", "p95", "p99")
 
@@ -773,8 +772,6 @@ class CapacitySpec:
             raise ValueError("need 0 < rate_low < rate_high")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.parallel_probes < 1:
-            raise ValueError("parallel_probes must be >= 1")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -786,12 +783,11 @@ class CapacitySpec:
             "iterations": self.iterations,
             "early_abort": self.early_abort,
             "reuse_arrivals": self.reuse_arrivals,
-            "parallel_probes": self.parallel_probes,
         }
 
     _FIELDS = frozenset(
         ("slo_tbt_s", "slo_ttft_s", "percentile", "rate_low", "rate_high",
-         "iterations", "early_abort", "reuse_arrivals", "parallel_probes"))
+         "iterations", "early_abort", "reuse_arrivals"))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CapacitySpec":

@@ -373,7 +373,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             early_abort=not args.no_early_abort,
             reuse_arrivals=not args.no_reuse_arrivals,
-            parallel_probes=args.parallel_probes,
         )
         report = find_capacity(deployment, workload, capacity,
                                sim_cache=not args.no_sim_cache)
@@ -715,10 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--rate-high", type=float, default=256.0)
     capacity.add_argument("--iterations", type=int, default=9,
                           help="bisection steps (rate resolution)")
-    capacity.add_argument("--parallel-probes", type=int, default=1,
-                          help="speculative probes per bisection round "
-                               "(2-3; worker processes, identical found "
-                               "rate)")
     capacity.add_argument("--no-early-abort", action="store_true",
                           help="always simulate saturated probes to the "
                                "full horizon (identical found rate, "

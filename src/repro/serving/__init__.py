@@ -41,9 +41,8 @@ _EXPORTS = {
         "SimulationResult"),
     "repro.serving.qos": ("QoSReport", "compute_qos"),
     "repro.serving.capacity": (
-        "CapacityProbePool", "CapacityResult", "EndpointUnservable",
-        "ProbeOutcome", "max_capacity_under_slo", "probe_pool",
-        "reference_capacity_search"),
+        "CapacityResult", "EndpointUnservable", "ProbeOutcome",
+        "max_capacity_under_slo", "reference_capacity_search"),
     "repro.serving.utilization": ("UtilizationReport", "utilization_report"),
 }
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

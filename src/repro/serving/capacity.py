@@ -7,10 +7,10 @@ under a relaxed SLO on one device.
 
 One capacity point costs a dozen saturated serving simulations, and a
 capacity-vs-SLO or capacity-vs-design sweep multiplies that, so the
-search is engineered to waste none of them.  Five coordinated
+search is engineered to waste none of them.  Four coordinated
 optimizations returning **identical found rates** to the sequential
 reference search (:func:`reference_capacity_search`) — the first,
-second, fourth and fifth exactly by construction, the early-abort by a
+second and fourth exactly by construction, the early-abort by a
 strictly-conservative heuristic whose per-probe verdict parity is
 machine-checked (``early_abort="verify"``) and committed at 100% by
 ``benchmarks/bench_capacity_speed.py``:
@@ -31,27 +31,19 @@ machine-checked (``early_abort="verify"``) and committed at 100% by
   abort condition strictly implies the full run would fail the final
   stability check, and ``early_abort="verify"`` proves the verdict
   parity per probe by also running the full simulation.
-* **speculative parallel bracketing** — ``parallel_probes=2..3`` probes
-  the midpoint plus the next-level midpoints of both possible halves in
-  worker processes, consuming two bisection steps per round while
-  preserving the exact float bracket evolution of sequential bisection.
-* **shared sweep caches** — probes share one memoized
+* **shared device cache** — every probe of a search shares one memoized
   :class:`~repro.perf.cache.CachedDeviceModel` (arrival reuse makes the
-  same decode contexts recur across probes), in-process and inside the
-  workers of a persistent :class:`~repro.analysis.sweep.SweepPool`.
+  same decode contexts recur across probes).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import lazy_exports
 from repro.models.config import ModelConfig
 from repro.models.kv_cache import max_batch_for_memory
 from repro.perf.baselines import DeviceModel
@@ -69,15 +61,6 @@ from repro.serving.generator import (
 )
 from repro.serving.qos import QoSReport, compute_qos
 from repro.serving.scheduler import SchedulerLimits
-
-if TYPE_CHECKING:  # pragma: no cover - the probe pool loads on use
-    from repro.analysis.sweep import SweepPool
-
-# the parallel probe pool, and the sweep machinery it extends, load only
-# when a search asks for one
-__getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.serving.capacity_pool": ("CapacityProbePool", "probe_pool"),
-})[1:]
 
 
 class EndpointUnservable(RuntimeError):
@@ -185,19 +168,14 @@ def _meets(result: SimulationResult, qos: QoSReport | None,
 
 
 # --------------------------------------------------------------------- #
-# Probe execution (in-process and in SweepPool workers)                  #
+# Probe execution                                                        #
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
 class _ProbeContext:
-    """Everything a probe needs, picklable for worker processes.
+    """Everything a probe needs: the fixed inputs of one search."""
 
-    ``device`` is ``None`` in payloads destined for a
-    :class:`CapacityProbePool`, whose workers substitute the shared
-    device installed at pool init.
-    """
-
-    device: DeviceModel | None
+    device: DeviceModel
     model: ModelConfig
     trace: ChatTraceConfig
     num_devices: int
@@ -241,47 +219,11 @@ def _run_probe(ctx: _ProbeContext, rate: float) -> ProbeOutcome:
     )
 
 
-#: Worker-side probe context: one slot per worker process, replaced when
-#: a task for a different search arrives.  Reusing the first-unpickled
-#: context keeps the worker's CachedDeviceModel warm across every probe
-#: of a search, which is exactly when arrival reuse makes decode
-#: operating points recur.
-_WORKER_CONTEXT: dict = {"key": None, "ctx": None}
-
-#: Device installed once per worker by :func:`probe_pool`'s initializer —
-#: shared by every probe of every search run on that pool, so its
-#: memoization cache stays warm across the whole capacity study.
-_WORKER_DEVICE: list = [None]
-
-_CONTEXT_COUNTER = itertools.count()
-
-
-def _install_worker_device(device: DeviceModel) -> None:
-    if not isinstance(device, CachedDeviceModel):
-        device = CachedDeviceModel(device)
-    _WORKER_DEVICE[0] = device
-
-
-def _probe_task(payload: tuple) -> ProbeOutcome:
-    key, ctx, rate = payload
-    if _WORKER_CONTEXT["key"] != key:
-        _WORKER_CONTEXT["key"] = key
-        if ctx.device is None:
-            # pool workers hold the shared device installed at init
-            ctx = dataclasses.replace(ctx, device=_WORKER_DEVICE[0])
-            assert ctx.device is not None, \
-                "probe pool worker has no installed device"
-        _WORKER_CONTEXT["ctx"] = ctx
-    return _run_probe(_WORKER_CONTEXT["ctx"], rate)
-
-
 class _ProbeRunner:
     """Runs, caches and records the probes of one capacity search."""
 
-    def __init__(self, ctx: _ProbeContext, pool: SweepPool | None) -> None:
+    def __init__(self, ctx: _ProbeContext) -> None:
         self.ctx = ctx
-        self.pool = pool
-        self.key = ("capacity", os.getpid(), next(_CONTEXT_COUNTER))
         self.outcomes: dict[float, ProbeOutcome] = {}
         self.simulations = 0
 
@@ -289,40 +231,17 @@ class _ProbeRunner:
     def record(self) -> tuple:
         return tuple(self.outcomes.values())
 
-    def _count(self, outcome: ProbeOutcome) -> ProbeOutcome:
-        # verify mode re-simulates every aborted probe to the full
-        # horizon; `simulations` reports what actually ran
-        self.simulations += 2 if (self.ctx.early_abort == "verify"
-                                  and outcome.aborted) else 1
-        return outcome
-
     def probe(self, rate: float) -> ProbeOutcome:
         cached = self.outcomes.get(rate)
         if cached is not None:
             return cached
-        outcome = self._count(_run_probe(self.ctx, rate))
+        outcome = _run_probe(self.ctx, rate)
+        # verify mode re-simulates every aborted probe to the full
+        # horizon; `simulations` reports what actually ran
+        self.simulations += 2 if (self.ctx.early_abort == "verify"
+                                  and outcome.aborted) else 1
         self.outcomes[rate] = outcome
         return outcome
-
-    def probe_many(self, rates: list) -> dict[float, ProbeOutcome]:
-        """Probe several candidate rates, in parallel when pooled."""
-        fresh = [r for r in rates if r not in self.outcomes]
-        if self.pool is not None and len(fresh) > 1:
-            from repro.serving.capacity_pool import CapacityProbePool
-
-            ctx = self.ctx
-            if isinstance(self.pool, CapacityProbePool):
-                # workers hold the shared device; don't re-pickle ours —
-                # but only if it IS ours
-                self.pool.check_device(ctx.device)
-                ctx = dataclasses.replace(ctx, device=None)
-            payloads = [(self.key, ctx, rate) for rate in fresh]
-            for payload, outcome in self.pool.sweep(payloads, _probe_task):
-                self.outcomes[payload[2]] = self._count(outcome)
-        else:
-            for rate in fresh:
-                self.probe(rate)
-        return {rate: self.outcomes[rate] for rate in rates}
 
     def full_qos(self, rate: float) -> QoSReport:
         """The full-run QoS of a *feasible* probed rate.
@@ -352,6 +271,20 @@ class _ProbeRunner:
 # The search                                                             #
 # --------------------------------------------------------------------- #
 
+def _check_search(slo_tbt_s: float, rate_bounds: tuple,
+                  iterations: int) -> tuple[float, float]:
+    """Validate the inputs both searches share; the (low, high) bounds."""
+    if slo_tbt_s <= 0:
+        raise ValueError("TBT SLO must be positive")
+    low, high = rate_bounds
+    if not 0 < low < high:
+        raise ValueError(
+            f"need 0 < rate_low < rate_high; got rate_bounds={rate_bounds!r}")
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    return low, high
+
+
 def max_capacity_under_slo(
     device: DeviceModel,
     model: ModelConfig,
@@ -368,8 +301,6 @@ def max_capacity_under_slo(
     *,
     reuse_arrivals: bool = True,
     early_abort: bool | str = True,
-    parallel_probes: int = 1,
-    pool: SweepPool | None = None,
     sim_cache: bool = True,
 ) -> CapacityResult:
     """Binary search for the highest SLO-compliant arrival rate.
@@ -377,13 +308,13 @@ def max_capacity_under_slo(
     The search brackets on (low = feasible, high = infeasible) and
     reports the last feasible probe with its QoS.  The knobs change how
     fast the verdicts are reached, not which rate is found:
-    ``reuse_arrivals``, ``parallel_probes``, ``sim_cache`` and the
-    always-on probe cache are exact by construction; ``early_abort``
-    judges a probe infeasible from a truncated run, which is
-    conservative (an abort implies the truncated prefix already fails
-    the final stability check) but heuristic with respect to the full
-    simulation — use ``"verify"`` to machine-check the per-probe parity
-    (the committed benches record 100%):
+    ``reuse_arrivals``, ``sim_cache`` and the always-on probe cache are
+    exact by construction; ``early_abort`` judges a probe infeasible
+    from a truncated run, which is conservative (an abort implies the
+    truncated prefix already fails the final stability check) but
+    heuristic with respect to the full simulation — use ``"verify"`` to
+    machine-check the per-probe parity (the committed benches record
+    100%):
 
     * ``reuse_arrivals`` — rescale one workload template per probe
       instead of regenerating (bit-identical draws, see
@@ -392,24 +323,17 @@ def max_capacity_under_slo(
       (``"verify"`` additionally runs the full simulation per aborted
       probe and records the verdict parity on each
       :class:`ProbeOutcome`);
-    * ``parallel_probes`` (2 or 3) — speculative bracketing: probe the
-      midpoint plus the next-level midpoint(s) concurrently, consuming
-      two bisection steps per round with the exact sequential bracket;
-      uses ``pool`` (a :class:`~repro.analysis.sweep.SweepPool`) or a
-      temporary pool when none is given;
     * ``sim_cache`` — wrap ``device`` in a
       :class:`~repro.perf.cache.CachedDeviceModel` (exact memoization)
       unless it already is one.
+
+    Raises ``ValueError`` unless ``0 < rate_bounds[0] < rate_bounds[1]``
+    and ``iterations >= 0``.
     """
-    if slo_tbt_s <= 0:
-        raise ValueError("TBT SLO must be positive")
-    if parallel_probes < 1:
-        raise ValueError("parallel_probes must be >= 1")
-    parallel_probes = min(parallel_probes, 3)
+    low, high = _check_search(slo_tbt_s, rate_bounds, iterations)
     if sim_cache and not isinstance(device, CachedDeviceModel):
         device = CachedDeviceModel(device)
-    low, high = rate_bounds
-    ctx = _ProbeContext(
+    runner = _ProbeRunner(_ProbeContext(
         device=device, model=model, trace=trace, num_devices=num_devices,
         request_count=request_count, seed=seed,
         max_sim_seconds=max_sim_seconds, slo_tbt_s=slo_tbt_s,
@@ -417,26 +341,8 @@ def max_capacity_under_slo(
         workload=PoissonArrivalTemplate(trace, request_count, seed)
         if reuse_arrivals else None,
         early_abort=early_abort,
-    )
-    owns_pool = False
-    if parallel_probes > 1 and pool is None:
-        from repro.serving.capacity_pool import probe_pool
+    ))
 
-        pool = probe_pool(device, workers=parallel_probes)
-        owns_pool = True
-    runner = _ProbeRunner(ctx, pool if parallel_probes > 1 else None)
-    try:
-        return _bracketed_search(runner, low, high, slo_tbt_s, slo_ttft_s,
-                                 iterations, parallel_probes)
-    finally:
-        if owns_pool:
-            pool.close()
-
-
-def _bracketed_search(runner: _ProbeRunner, low: float, high: float,
-                      slo_tbt_s: float, slo_ttft_s: float | None,
-                      iterations: int,
-                      parallel_probes: int) -> CapacityResult:
     def result(rate: float, qos: QoSReport) -> CapacityResult:
         return CapacityResult(rate, qos, slo_tbt_s, slo_ttft_s,
                               runner.record, runner.simulations)
@@ -450,45 +356,12 @@ def _bracketed_search(runner: _ProbeRunner, low: float, high: float,
     # low verdict irrelevant, and the low probe is the single most
     # expensive simulation (its horizon scales as 1/rate).
     best_rate: float | None = None
-    consumed = 0
-    while consumed < iterations:
+    for _ in range(iterations):
         mid = (low + high) / 2.0
-        if parallel_probes > 1 and iterations - consumed >= 2:
-            # Speculative round: evaluate the midpoints of both halves
-            # alongside mid.  Whatever mid's verdict, the follow-up
-            # midpoint was already computed with the same floats the
-            # sequential loop would use, so two steps resolve at the
-            # wall-clock of the slowest probe.
-            candidates = [mid]
-            if parallel_probes >= 3:
-                candidates.append((low + mid) / 2.0)
-            candidates.append((mid + high) / 2.0)
-            outcomes = runner.probe_many(candidates)
-            if outcomes[mid].feasible:
-                low, best_rate = mid, mid
-                consumed += 1
-                follow = (mid + high) / 2.0
-                if outcomes[follow].feasible:
-                    low, best_rate = follow, follow
-                else:
-                    high = follow
-                consumed += 1
-            else:
-                lo_follow = (low + mid) / 2.0
-                high = mid
-                consumed += 1
-                if lo_follow in outcomes:
-                    if outcomes[lo_follow].feasible:
-                        low, best_rate = lo_follow, lo_follow
-                    else:
-                        high = lo_follow
-                    consumed += 1
+        if runner.probe(mid).feasible:
+            low, best_rate = mid, mid
         else:
-            if runner.probe(mid).feasible:
-                low, best_rate = mid, mid
-            else:
-                high = mid
-            consumed += 1
+            high = mid
 
     if best_rate is not None:
         return result(best_rate, runner.full_qos(best_rate))
@@ -524,11 +397,10 @@ def reference_capacity_search(
     simulations, and a final best-rate re-simulation — exactly the
     algorithm :func:`max_capacity_under_slo` must reproduce rate-for-
     rate.  Benchmarked as the baseline by
-    ``benchmarks/bench_capacity_speed.py``.
+    ``benchmarks/bench_capacity_speed.py``.  Validates its inputs
+    exactly like :func:`max_capacity_under_slo`.
     """
-    if slo_tbt_s <= 0:
-        raise ValueError("TBT SLO must be positive")
-    low, high = rate_bounds
+    low, high = _check_search(slo_tbt_s, rate_bounds, iterations)
     probes: list[ProbeOutcome] = []
     simulations = 0
 

@@ -1,10 +1,10 @@
 """Tests for the fast capacity-search engine (paper Fig. 16).
 
-Covers the four optimization pillars: arrival-template reuse
-(draw-identity vs fresh generation), probe caching (no rate simulated
-twice), saturation early-abort (verdict parity vs the full simulation on
-steady and bursty traces), and speculative parallel bracketing
-(identical found rate to sequential bisection).  The slower end-to-end
+Covers the optimization pillars: arrival-template reuse (draw-identity
+vs fresh generation), probe caching (no rate simulated twice) and
+saturation early-abort (verdict parity vs the full simulation on steady
+and bursty traces), plus the search's input validation and its
+rate-for-rate parity with the reference search.  The slower end-to-end
 behavioral tests live in ``tests/test_serving_capacity.py``.
 """
 
@@ -20,7 +20,6 @@ from repro.serving.capacity import (
     _scheduler_limits,
     _simulate_rate,
     max_capacity_under_slo,
-    probe_pool,
     reference_capacity_search,
 )
 from repro.serving.dataset import ULTRACHAT_LIKE, fixed_trace
@@ -249,40 +248,34 @@ class TestEarlyAbort:
 
 
 # --------------------------------------------------------------------- #
-# Speculative parallel bracketing                                        #
+# Input validation                                                       #
 # --------------------------------------------------------------------- #
 
-class TestParallelBracketing:
-    def test_parallel_rate_identical_to_sequential(self, device, llama3):
-        sequential = search(device, llama3, 0.050)
-        parallel = search(device, llama3, 0.050, parallel_probes=3)
-        assert parallel.max_requests_per_s \
-            == sequential.max_requests_per_s
-        assert parallel.qos_at_max == sequential.qos_at_max
+class TestSearchBounds:
+    @pytest.mark.parametrize("run", [max_capacity_under_slo,
+                                     reference_capacity_search],
+                             ids=["fast", "reference"])
+    @pytest.mark.parametrize("bounds, message", [
+        (dict(rate_bounds=(8.0, 2.0)), r"rate_bounds=\(8.0, 2.0\)"),
+        (dict(rate_bounds=(4.0, 4.0)), r"rate_bounds=\(4.0, 4.0\)"),
+        (dict(rate_bounds=(0.0, 64.0)), r"rate_bounds=\(0.0, 64.0\)"),
+        (dict(rate_bounds=(-1.0, 64.0)), "0 < rate_low < rate_high"),
+        (dict(iterations=-3), "iterations must be non-negative"),
+    ], ids=["inverted", "empty", "zero-low", "negative-low",
+            "negative-iterations"])
+    def test_bad_search_inputs_rejected_before_any_probe(
+            self, device, llama3, run, bounds, message):
+        kwargs = dict(SEARCH, **bounds)
+        with pytest.raises(ValueError, match=message):
+            run(device, llama3, ULTRACHAT_LIKE, slo_tbt_s=0.050, **kwargs)
 
-    def test_shared_pool_reused_across_searches(self, device, llama3):
-        with probe_pool(device, workers=2) as pool:
-            relaxed = search(device, llama3, 0.050, parallel_probes=3,
-                             pool=pool)
-            strict = search(device, llama3, 0.025, parallel_probes=3,
-                            pool=pool)
-        assert strict.max_requests_per_s <= relaxed.max_requests_per_s
-        assert relaxed.max_requests_per_s \
-            == search(device, llama3, 0.050).max_requests_per_s
-
-    def test_rejects_bad_parallel_probes(self, device, llama3):
-        with pytest.raises(ValueError):
-            search(device, llama3, 0.050, parallel_probes=0)
-
-    def test_pool_rejects_a_different_device(self, llama3):
-        # probes must never silently run on the pool's device when the
-        # search was asked about another one
-        pool_device = AdorDeviceModel(ador_table3())
-        other_device = AdorDeviceModel(ador_table3())
-        with probe_pool(pool_device, workers=2) as pool:
-            with pytest.raises(ValueError, match="different device"):
-                search(other_device, llama3, 0.050, parallel_probes=3,
-                       pool=pool)
+    def test_zero_iterations_is_a_valid_search(self, device, llama3):
+        # no bisection step: the verdict rests on the bracket endpoints
+        fast = search(device, llama3, 0.050, iterations=0)
+        reference = reference_capacity_search(
+            device, llama3, ULTRACHAT_LIKE, slo_tbt_s=0.050,
+            **dict(SEARCH, iterations=0))
+        assert fast.max_requests_per_s == reference.max_requests_per_s
 
 
 # --------------------------------------------------------------------- #

@@ -113,6 +113,26 @@ class TestCommands:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_run_capacity_rejects_removed_parallel_probes_key(
+            self, capsys, tmp_path):
+        # strict JSON: an experiment file still carrying the deleted
+        # speculative-probing knob fails loudly instead of running
+        experiment = {
+            "deployment": {"chip": "ador"},
+            "workload": {"trace": "ultrachat", "num_requests": 20,
+                         "seed": 7},
+            "capacity": {"slo_tbt_s": 0.05, "iterations": 2,
+                         "parallel_probes": 1},
+        }
+        path = tmp_path / "capacity.json"
+        path.write_text(json.dumps(experiment))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "parallel_probes" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_search_proposes_design(self, capsys):
         code = main(["search", "--ttft-ms", "50", "--tbt-ms", "30"])
         assert code == 0

@@ -31,9 +31,12 @@ from repro.api import (
     find_fleet_capacity,
     simulate,
 )
+from repro.api.facade import _device_for
 from repro.cluster.autoscaler import AutoscaleSpec
+from repro.cluster.engine import ClusterEngine
 from repro.cluster.faults import FaultSpec
 from repro.cluster.router import ReplicaSnapshot, make_router
+from repro.models.zoo import get_model
 from repro.serving.capacity import EndpointUnservable, cost_optimal_fleet
 from repro.serving.dataset import ULTRACHAT_LIKE, ChatTraceConfig
 from repro.serving.generator import (
@@ -188,21 +191,22 @@ def test_one_group_fleet_bit_identical_to_legacy(kind, replicas, elastic,
     """The refactor's homogeneous-parity bar: spelling the fleet as one
     explicit group must not move a single bit anywhere in the engine —
     across trace shapes, fleet sizes, and the elastic features."""
-    def run(spelling):
-        if spelling == "fleet":
-            deployment = DeploymentSpec(
-                fleet=FleetSpec(groups=(
-                    ReplicaGroupSpec(chip="ador", count=replicas,
-                                     max_batch=8),)),
-                **ELASTIC[elastic])
-        else:
-            deployment = DeploymentSpec(replicas=replicas, max_batch=8,
-                                        **ELASTIC[elastic])
-        engine = build_cluster_engine(deployment)
+    def run(engine):
         return engine.run(_trace_requests(kind, seed, count),
                           max_sim_seconds=120.0)
 
-    legacy, fleet = run("legacy"), run("fleet")
+    # the legacy side is the direct replicas=N constructor, so the
+    # property compares two build paths, not the spec-to-fleet path
+    # with itself
+    spec = DeploymentSpec(replicas=replicas, max_batch=8)
+    legacy = run(ClusterEngine(
+        _device_for(spec.chip_spec(), True, 1), get_model(spec.model),
+        spec.scheduler_limits(), num_devices=spec.num_devices,
+        replicas=replicas, router=spec.router, **ELASTIC[elastic]))
+    fleet = run(build_cluster_engine(DeploymentSpec(
+        fleet=FleetSpec(groups=(
+            ReplicaGroupSpec(chip="ador", count=replicas, max_batch=8),)),
+        **ELASTIC[elastic])))
     assert cluster_fingerprint(legacy) == cluster_fingerprint(fleet)
     assert legacy.merged.total_time_s == fleet.merged.total_time_s
     if legacy.autoscale is not None:

@@ -237,14 +237,14 @@ PUBLIC_NAMES = {
         rule_tokens Violation
     """,
     "repro.serving": """
-        BatchingPolicy CachedPrefix CapacityProbePool CapacityResult
+        BatchingPolicy CachedPrefix CapacityResult
         ChatTraceConfig compute_qos ContinuousBatchingScheduler
         EndpointUnservable export_timeline get_eviction_policy get_policy
         get_trace InstabilityMonitor KvBlockConfig list_eviction_policies
         list_policies list_traces load_requests max_capacity_under_slo
         MultiTurnSessionGenerator OnOffRequestGenerator PagedKvAllocator
         PoissonArrivalTemplate PoissonRequestGenerator PrefixCache
-        PrefixCacheSpec PrefixCacheStats probe_pool ProbeOutcome QoSReport
+        PrefixCacheSpec PrefixCacheStats ProbeOutcome QoSReport
         reference_capacity_search register_eviction_policy register_policy
         register_trace Request RequestState sample_trace Saturated
         save_requests SchedulerLimits ServingEngine SessionConfig
